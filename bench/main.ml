@@ -20,8 +20,8 @@
    - CAP_BENCH_ONLY=1 skip part 1; kernels only (CI smoke mode)
    - CAP_SCALE_ONLY=1 skip parts 1 and 2; scale kernels only
    - CAP_SCALE_MAX_CLIENTS=n  skip scale kernels larger than n clients
-   - CAP_SCALE_EXACT=1  scale kernels solve per-client (dense matrices)
-     instead of aggregated; kernel names get an "-exact" suffix
+   - CAP_SCALE_EXACT=1  scale kernels solve per-client instead of
+     aggregated; kernel names get an "-exact" suffix
    - CAP_BENCH_JSON=f write kernel results as cap-bench/1 JSON to f
    - CAP_BENCH_BASELINE=f  compare kernels against a committed
      cap-bench/1 file; exit 1 if any regresses beyond
@@ -358,12 +358,13 @@ let print_benchmarks () =
    One run takes seconds — far past Bechamel's sampling budget — so
    each kernel is timed with a single manual wall-clock run and
    recorded with [r_square] omitted and [samples] = 1; the regression
-   gate treats manual timings as reliable. The scenario keeps the
-   paper's shape but at data-center scale: 500 servers, 1000 zones,
-   per-client traffic capped at 50 visible peers, and total capacity
-   provisioned at 1.6 Mbps per client so the instance stays feasible.
-   The aggregated solver never materializes the client x server delay
-   matrix, so the 1M kernel runs in O(clients + zones x servers)
+   gate treats manual timings as reliable. The scenario is capbench's
+   scale family (Capbench.Common.scale_scenario) at 500 servers and
+   1000 zones: the paper's shape at data-center scale, per-client
+   traffic capped at 50 visible peers, and total capacity provisioned
+   at 1.6 Mbps per client so the instance stays feasible. Neither
+   solver materializes the client x server delay matrix; the
+   aggregated one runs the 1M kernel in O(clients + zones x servers)
    memory. *)
 
 let scale_max_clients () =
@@ -373,35 +374,6 @@ let scale_max_clients () =
       | Some n when n >= 0 -> n
       | Some _ | None -> max_int)
   | None -> max_int
-
-let scale_scenario ~clients =
-  let base =
-    Scenario.make ~servers:500 ~zones:1000 ~clients
-      ~total_capacity_mbps:(1.6 *. float_of_int clients) ()
-  in
-  {
-    base with
-    Scenario.traffic = Cap_model.Traffic.with_visibility_cap 50 base.Scenario.traffic;
-  }
-
-(* Peak RSS of this process in KiB, from /proc (0 where unavailable).
-   Cumulative over the process lifetime, so run the largest scale
-   kernel last and read it per-kernel only in single-kernel runs. *)
-let max_rss_kib () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-      let rss = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-             Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" (fun v ->
-                 rss := v)
-         done
-       with End_of_file | Scanf.Scan_failure _ | Failure _ -> ());
-      close_in ic;
-      !rss
 
 let scale_benchmarks () =
   let variants =
@@ -413,8 +385,9 @@ let scale_benchmarks () =
   in
   let cap = scale_max_clients () in
   (* CAP_SCALE_EXACT=1 solves the same worlds with the per-client
-     GreZ-GreC instead (forcing the dense client x server matrices) —
-     the comparison column of EXPERIMENTS.md. The "-exact" suffix
+     GreZ-GreC instead — the comparison column of EXPERIMENTS.md. It
+     reads client rows through the node x server tier, so it never
+     builds the client x server matrices either. The "-exact" suffix
      keeps these out of the committed baseline's kernel names. *)
   let exact = env_flag "CAP_SCALE_EXACT" in
   print_endline "\n==============================";
@@ -428,7 +401,7 @@ let scale_benchmarks () =
         None
       end
       else begin
-        let scenario = scale_scenario ~clients in
+        let scenario = Capbench.Common.scale_scenario ~servers:500 ~zones:1000 ~clients in
         let t0 = Unix.gettimeofday () in
         let rng = Rng.create ~seed:42 in
         let world = World.generate rng scenario in
@@ -442,7 +415,7 @@ let scale_benchmarks () =
           name seconds
           (Assignment.utilization assignment world)
           (Assignment.is_valid assignment world)
-          (max_rss_kib ());
+          (Capbench.Common.max_rss_kib ());
         Some
           {
             Bench_json.name = "cap/" ^ name;

@@ -61,41 +61,12 @@ let zone_tables agg =
       delays.(z) <- delay);
   (costs, delays)
 
-let assign_zones ?(rule = Regret.Best_minus_second) agg =
+let assign_zones ?rule agg =
   let world = agg.Aggregate.world in
-  let n = World.zone_count world in
   let costs, delays = zone_tables agg in
-  let rates = Server_load.zone_rates world in
-  let capacities = world.World.capacities in
-  let loads = Array.make (World.server_count world) 0. in
-  let targets = Array.make n 0 in
-  let place z s =
-    targets.(z) <- s;
-    loads.(s) <- loads.(s) +. rates.(z)
-  in
-  let feasible z s = loads.(s) +. rates.(z) <= capacities.(s) in
-  let items =
-    Regret.order
-      ~ids:(Array.init n (fun z -> z))
-      ~servers:(World.server_count world)
-      ~desirability:(fun z s -> -.float_of_int costs.(z).(s))
-      ~tie_break:(fun z s -> delays.(z).(s))
-      ~rule
-  in
-  Array.iter
-    (fun (item : Regret.item) ->
-      let z = item.Regret.id in
-      let chosen =
-        Array.fold_left
-          (fun acc (s, _) ->
-            match acc with Some _ -> acc | None -> if feasible z s then Some s else None)
-          None item.Regret.prefs
-      in
-      match chosen with
-      | Some s -> place z s
-      | None -> place z (Server_load.fallback_server ~loads ~capacities ()))
-    items;
-  targets
+  fst
+    (Grez.place_zones ?rule ~costs ~delays ~rates:(Server_load.zone_rates world)
+       ~capacities:world.World.capacities ())
 
 (* ------------------------------------------------------------------ *)
 (* Group-level GreC                                                    *)
@@ -104,9 +75,9 @@ let assign_zones ?(rule = Regret.Best_minus_second) agg =
    group mean RTT) exactly as Grec ranks late clients; a group's
    members are then placed one by one along its preference list, so
    capacity can split a group across contacts just as per-client GreC
-   splits a run of identical clients. Per-member placement is O(1)
-   (the pref scan advances monotonically), keeping the whole
-   refinement O(late_groups * m + late_members). *)
+   splits a run of identical clients. The preference walk only moves
+   forward and each member is placed once, keeping the whole
+   refinement O(late_groups * m log m + late_members). *)
 let refine_contacts ?(rule = Regret.Best_minus_second) agg ~targets =
   let world = agg.Aggregate.world in
   if Array.length targets <> World.zone_count world then
@@ -134,33 +105,36 @@ let refine_contacts ?(rule = Regret.Best_minus_second) agg ~targets =
       late := g :: !late
   done;
   let late = Array.of_list !late in
-  let relayed g s =
-    let target = targets.(agg.Aggregate.group_zone.(g)) in
-    gs agg ~group:g ~server:s +. Bigarray.Array1.get ss ((s * servers) + target)
+  (* Keys are the relayed delays, as in Grec. *)
+  let w = Regret.Walk.create servers in
+  let relayed = Regret.Walk.keys w in
+  let gs_rtt = agg.Aggregate.gs_rtt in
+  let fill g =
+    let base = g * servers and target = targets.(agg.Aggregate.group_zone.(g)) in
+    for s = 0 to servers - 1 do
+      relayed.(s) <-
+        Bigarray.Array1.unsafe_get gs_rtt (base + s)
+        +. Bigarray.Array1.unsafe_get ss ((s * servers) + target)
+    done
   in
-  let items =
-    Regret.order ~ids:late ~servers
-      ~desirability:(fun g s -> -.max 0. (relayed g s -. bound))
-      ~tie_break:relayed ~rule
-  in
+  let desirability r = -.max 0. (r -. bound) in
   Array.iter
-    (fun (item : Regret.item) ->
-      let g = item.Regret.id in
+    (fun g ->
       let z = agg.Aggregate.group_zone.(g) in
       let target = targets.(z) in
       (* all members of a group share a zone, hence a forwarding rate *)
       let forwarding = 2. *. c.World.zone_client_rate.(z) in
       let lo = agg.Aggregate.group_off.(g) and hi = agg.Aggregate.group_off.(g + 1) in
       let next = ref lo in
-      let pref = ref 0 in
-      let prefs = item.Regret.prefs in
-      while !next < hi && !pref < Array.length prefs do
-        let s, desirability = prefs.(!pref) in
-        if desirability = neg_infinity then
+      fill g;
+      Regret.Walk.start w;
+      while !next < hi do
+        let s = Regret.Walk.next w in
+        if s < 0 || desirability relayed.(s) = neg_infinity then
           (* unreachable contact (partitioned backbone): never an
              answer — anything after it is no better, stop here and
              leave the rest on the direct link *)
-          pref := Array.length prefs
+          next := hi
         else if s = target then begin
           (* the direct link costs no forwarding: takes every
              remaining member *)
@@ -169,16 +143,14 @@ let refine_contacts ?(rule = Regret.Best_minus_second) agg ~targets =
             incr next
           done
         end
-        else begin
+        else
           while !next < hi && loads.(s) +. forwarding <= capacities.(s) do
             contacts.(agg.Aggregate.group_clients.(!next)) <- s;
             loads.(s) <- loads.(s) +. forwarding;
             incr next
-          done;
-          incr pref
-        end
+          done
       done)
-    items;
+    (Regret.rank w ~rule ~ids:late ~fill ~desirability);
   Cap_obs.Metrics.Counter.add groups_solved_total (float_of_int agg.Aggregate.groups);
   Cap_obs.Metrics.Counter.add late_groups_total (float_of_int (Array.length late));
   contacts

@@ -3,9 +3,11 @@
     Both metrics are computed on the world's {e observed} delays — the
     information actually available to an assignment algorithm — which
     may differ from true delays under estimation error (Table 4). All
-    reads go through the cached float32 matrices
-    ({!Cap_model.World.dense}), so every cost, tie-break and
-    late-client test sees the same f32-rounded RTT value.
+    reads go through the cached float32 node x server matrix
+    ([ns_rtt] of {!Cap_model.World.cached}), indexed by each client's
+    node, so every cost, tie-break and late-client test sees the same
+    f32-rounded RTT value. None of them forces the k x m client tier
+    ({!Cap_model.World.dense}), whose rows are copies of these.
 
     - Initial (Eq. 3): [C^I_ij] is the number of clients of zone [z_j]
       that would be without QoS if [z_j] were hosted on server [s_i],
@@ -26,7 +28,13 @@ val fill_initial_matrix : Cap_model.World.t -> int array array -> unit
     a caller-owned zones x servers buffer — the allocation-free variant
     for callers that refresh repeatedly against same-shape worlds (see
     {!Incremental.make_state}). Raises [Invalid_argument] when the
-    buffer shape does not match the world. *)
+    buffer shape does not match the world: a row count other than the
+    zone count, or any row whose length is not the server count. *)
+
+val zone_tables : Cap_model.World.t -> int array array * float array array
+(** [(costs, delays)]: {!initial_matrix} and, per zone and server, the
+    mean observed RTT from the zone's clients (0 for an empty zone) —
+    GreZ's desirability and tie-break, filled in one scan. *)
 
 val refined :
   Cap_model.World.t -> targets:int array -> client:int -> contact:int -> float

@@ -1,5 +1,4 @@
 module World = Cap_model.World
-module Traffic = Cap_model.Traffic
 module Scenario = Cap_model.Scenario
 module Assignment = Cap_model.Assignment
 
@@ -17,75 +16,74 @@ let assign ?(rule = Regret.Best_minus_second) ?alive world ~targets =
       invalid_arg "Grec.assign: alive mask does not match the world's servers"
   | Some _ | None -> ());
   let usable s = match alive with None -> true | Some mask -> mask.(s) in
-  let k = World.client_count world in
+  let c = World.cached world in
+  let servers = World.server_count world in
   let bound = world.World.scenario.Scenario.delay_bound in
-  let traffic = world.World.scenario.Scenario.traffic in
-  let population = World.zone_population world in
   let capacities = world.World.capacities in
+  let nodes = world.World.client_nodes and zone_of = world.World.client_zones in
+  let ns = c.World.ns_rtt and ss = c.World.ss_rtt in
   (* Server loads start from the zone loads implied by the initial
      assignment; refined choices then add forwarding bandwidth. *)
-  let loads = Array.make (World.server_count world) 0. in
+  let loads = Array.make servers 0. in
   Array.iteri
     (fun z target ->
       if target <> Assignment.unassigned then
-        loads.(target) <- loads.(target) +. Traffic.zone_rate traffic ~population:population.(z))
+        loads.(target) <- loads.(target) +. c.World.zone_rate_of.(z))
     targets;
-  let contacts = Array.make k 0 in
-  let late = ref [] in
-  (* Late detection reads the same f32 matrix the refinement costs
+  let contacts = Array.map (fun z -> targets.(z)) zone_of in
+  (* Late detection reads the same f32 node rows the refinement costs
      read, so a client is late exactly when its refined cost can be
      positive. *)
-  let cs = (World.dense world).World.cs_rtt in
-  let servers = World.server_count world in
-  for c = k - 1 downto 0 do
-    let target = targets.(world.World.client_zones.(c)) in
-    contacts.(c) <- target;
-    if target <> Assignment.unassigned then
-      if Bigarray.Array1.get cs ((c * servers) + target) > bound then late := c :: !late
+  let late = ref [] in
+  for cl = World.client_count world - 1 downto 0 do
+    let target = contacts.(cl) in
+    if
+      target <> Assignment.unassigned
+      && Bigarray.Array1.get ns ((nodes.(cl) * servers) + target) > bound
+    then late := cl :: !late
   done;
-  let forwarding c =
-    Traffic.forwarding_rate traffic ~zone_population:population.(world.World.client_zones.(c))
+  let late = Array.of_list !late in
+  (* A late client's keys are its relayed delays (Cost.relayed_delay)
+     to every contact. The desirability -C^R only falls as they rise,
+     which makes their order the paper's (see Regret). *)
+  let w = Regret.Walk.create servers in
+  let relayed = Regret.Walk.keys w in
+  let fill cl =
+    let base = nodes.(cl) * servers and target = targets.(zone_of.(cl)) in
+    for s = 0 to servers - 1 do
+      relayed.(s) <-
+        Bigarray.Array1.unsafe_get ns (base + s)
+        +. Bigarray.Array1.unsafe_get ss ((s * servers) + target)
+    done
   in
-  let items =
-    Regret.order ~ids:(Array.of_list !late) ~servers:(World.server_count world)
-      ~desirability:(fun c s -> -.Cost.refined world ~targets ~client:c ~contact:s)
-      ~tie_break:(fun c s -> Cost.relayed_delay world ~targets ~client:c ~contact:s)
-      ~rule
-  in
+  let desirability r = -.max 0. (r -. bound) in
   let refined = ref 0 in
   Array.iter
-    (fun (item : Regret.item) ->
-      let c = item.Regret.id in
-      let target = targets.(world.World.client_zones.(c)) in
-      let extra s = if s = target then 0. else forwarding c in
-      let chosen =
-        Array.fold_left
-          (fun acc (s, desirability) ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                (* An infinitely bad contact (it cannot reach the
-                   target across the backbone) is never an answer, even
-                   when everything better is full: fall back to the
-                   direct link instead. *)
-                if
-                  desirability > neg_infinity
-                  && usable s
-                  && loads.(s) +. extra s <= capacities.(s)
-                then Some s
-                else None)
-          None item.Regret.prefs
+    (fun cl ->
+      let target = targets.(zone_of.(cl)) in
+      let forwarding = 2. *. c.World.zone_client_rate.(zone_of.(cl)) in
+      fill cl;
+      Regret.Walk.start w;
+      (* An infinitely bad contact (it cannot reach the target across
+         the backbone) is never an answer, even when everything better
+         is full; keys ascend, so the first one ends the walk and the
+         client keeps the direct link. The target itself adds no
+         forwarding load, so the walk ends there when loads started
+         feasible. *)
+      let rec first () =
+        let s = Regret.Walk.next w in
+        if s < 0 || desirability relayed.(s) = neg_infinity then target
+        else
+          let extra = if s = target then 0. else forwarding in
+          if usable s && loads.(s) +. extra <= capacities.(s) then s else first ()
       in
-      match chosen with
-      | Some s ->
-          if s <> target then incr refined;
-          contacts.(c) <- s;
-          loads.(s) <- loads.(s) +. extra s
-      | None ->
-          (* Unreachable when loads started feasible: the target adds
-             nothing and is always a candidate. Keep the direct link. *)
-          contacts.(c) <- target)
-    items;
-  Cap_obs.Metrics.Counter.add late_clients_total (float_of_int (Array.length items));
+      let s = first () in
+      if s <> target then begin
+        incr refined;
+        contacts.(cl) <- s;
+        loads.(s) <- loads.(s) +. forwarding
+      end)
+    (Regret.rank w ~rule ~ids:late ~fill ~desirability);
+  Cap_obs.Metrics.Counter.add late_clients_total (float_of_int (Array.length late));
   Cap_obs.Metrics.Counter.add refined_clients_total (float_of_int !refined);
   contacts

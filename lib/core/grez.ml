@@ -1,36 +1,4 @@
 module World = Cap_model.World
-module Pool = Cap_par.Pool
-
-(* Mean observed client-server RTT per (zone, server): the
-   desirability tie-breaker. Empty zones tie at 0 and fall back to
-   server-index order. Row-parallel over zones on the cached CSR +
-   flat RTT matrix; the per-(zone, server) summation order (ascending
-   client id) matches the serial fill bit for bit. *)
-let mean_delay_matrix world =
-  let c = World.cached world in
-  let d = World.dense world in
-  let servers = World.server_count world in
-  let zones = World.zone_count world in
-  let cs = d.World.cs_rtt in
-  let rows = Array.make zones [||] in
-  Pool.parallel_for (Pool.default ()) ~n:zones (fun z ->
-      let lo = c.World.zone_off.(z) and hi = c.World.zone_off.(z + 1) in
-      if hi = lo then rows.(z) <- Array.make servers 0.
-      else begin
-        let row = Array.make servers 0. in
-        for i = lo to hi - 1 do
-          let base = c.World.zone_clients.(i) * servers in
-          for server = 0 to servers - 1 do
-            row.(server) <- row.(server) +. Bigarray.Array1.unsafe_get cs (base + server)
-          done
-        done;
-        let members = float_of_int (hi - lo) in
-        for server = 0 to servers - 1 do
-          row.(server) <- row.(server) /. members
-        done;
-        rows.(z) <- row
-      end);
-  rows
 
 let zones_placed_total =
   Cap_obs.Metrics.Counter.create "grez_zones_placed_total"
@@ -40,6 +8,48 @@ let fallback_placements_total =
   Cap_obs.Metrics.Counter.create "grez_fallback_placements_total"
     ~help:"Zones that fit no server and went to the fallback"
 
+(* Regret is taken over every server, dead ones included, as the
+   paper's static ranking does; only the walk skips what is not
+   usable. *)
+let place_zones ?(rule = Regret.Best_minus_second) ?alive ~costs ~delays ~rates ~capacities () =
+  let usable s = match alive with None -> true | Some mask -> mask.(s) in
+  let n = Array.length costs and servers = Array.length capacities in
+  let loads = Array.make servers 0. in
+  let targets = Array.make n 0 in
+  let fallbacks = ref 0 in
+  let w = Regret.Walk.create servers in
+  let keys = Regret.Walk.keys w and ties = Regret.Walk.ties w in
+  let fill z =
+    let cost = costs.(z) and delay = delays.(z) in
+    for s = 0 to servers - 1 do
+      keys.(s) <- float_of_int cost.(s);
+      ties.(s) <- delay.(s)
+    done
+  in
+  let ranked =
+    Regret.rank w ~rule ~ids:(Array.init n Fun.id) ~fill ~desirability:Float.neg
+  in
+  Array.iter
+    (fun z ->
+      fill z;
+      Regret.Walk.start w;
+      let rec first () =
+        let s = Regret.Walk.next w in
+        if s < 0 || (usable s && loads.(s) +. rates.(z) <= capacities.(s)) then s
+        else first ()
+      in
+      let s =
+        match first () with
+        | -1 ->
+            incr fallbacks;
+            Server_load.fallback_server ?alive ~loads ~capacities ()
+        | s -> s
+      in
+      targets.(z) <- s;
+      loads.(s) <- loads.(s) +. rates.(z))
+    ranked;
+  (targets, !fallbacks)
+
 let assign ?(rule = Regret.Best_minus_second) ?(dynamic = false) ?alive world =
   (match alive with
   | Some mask when Array.length mask <> World.server_count world ->
@@ -48,8 +58,7 @@ let assign ?(rule = Regret.Best_minus_second) ?(dynamic = false) ?alive world =
   let usable s = match alive with None -> true | Some mask -> mask.(s) in
   let n = World.zone_count world in
   let fallbacks = ref 0 in
-  let costs = Cost.initial_matrix world in
-  let delays = mean_delay_matrix world in
+  let costs, delays = Cost.zone_tables world in
   let rates = Server_load.zone_rates world in
   let capacities = world.World.capacities in
   let loads = Array.make (World.server_count world) 0. in
@@ -60,29 +69,11 @@ let assign ?(rule = Regret.Best_minus_second) ?(dynamic = false) ?alive world =
   in
   let feasible z s = usable s && loads.(s) +. rates.(z) <= capacities.(s) in
   if not dynamic then begin
-    let items =
-      Regret.order
-        ~ids:(Array.init n (fun z -> z))
-        ~servers:(World.server_count world)
-        ~desirability:(fun z s -> -.float_of_int costs.(z).(s))
-        ~tie_break:(fun z s -> delays.(z).(s))
-        ~rule
+    let placed, placed_by_fallback =
+      place_zones ~rule ?alive ~costs ~delays ~rates ~capacities ()
     in
-    Array.iter
-      (fun (item : Regret.item) ->
-        let z = item.Regret.id in
-        let chosen =
-          Array.fold_left
-            (fun acc (s, _) ->
-              match acc with Some _ -> acc | None -> if feasible z s then Some s else None)
-            None item.Regret.prefs
-        in
-        match chosen with
-        | Some s -> place z s
-        | None ->
-            incr fallbacks;
-            place z (Server_load.fallback_server ?alive ~loads ~capacities ()))
-      items
+    Array.blit placed 0 targets 0 n;
+    fallbacks := placed_by_fallback
   end
   else begin
     (* Dynamic variant: after every placement, re-rank the remaining

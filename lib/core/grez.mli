@@ -28,3 +28,19 @@ val assign :
     whose entry is [true]; dead servers are never targeted, even by the
     fallback. Raises [Invalid_argument] if the mask's length does not
     match the world's servers or if it leaves no alive server. *)
+
+val place_zones :
+  ?rule:Regret.rule ->
+  ?alive:bool array ->
+  costs:int array array ->
+  delays:float array array ->
+  rates:float array ->
+  capacities:float array ->
+  unit ->
+  int array * int
+(** The static placement over precomputed zone tables: zones in regret
+    order (over [-costs], all servers), each on its first feasible
+    server in (cost, mean delay, index) order, the fallback when none
+    fits. Returns the targets and the number of fallback placements.
+    {!assign} runs it on {!Cost.zone_tables}; the aggregated solver
+    runs it on tables built from client groups. *)

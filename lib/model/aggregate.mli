@@ -1,8 +1,7 @@
 (** Client aggregation: the million-client data plane.
 
-    The two-phase heuristics cost O(k * m) per solve on the dense
-    client x server matrix — memory-hostile at k = 1M (see
-    {!World.dense}). But clients are not unique: a zone's members that
+    The per-client two-phase heuristics cost O(k * m) per solve — a
+    scan of every client's server row, slow at k = 1M. But clients are not unique: a zone's members that
     sit in the same corner of the network are interchangeable to both
     GreZ (their indicator costs match) and GreC (their refined costs
     match). This module collapses clients into weighted

@@ -288,8 +288,8 @@ let cached t =
       else (match Atomic.get t.cache with Some c -> c | None -> cache)
 
 (* The k x m matrices live behind their own slot inside the cache
-   value: at k = 1M, m = 500 they are 2 GB of float32, and the
-   aggregated solve path never touches them. Same benign CAS race as
+   value: at k = 1M, m = 500 they are 2 GB of float32, and no solver
+   touches them (they read the node rows these copy). Same benign CAS race as
    [cached]; invalidation is inherited, because the slot dies with the
    cache value it sits in. *)
 let dense t =

@@ -29,8 +29,10 @@ type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (** The client x server RTT matrices — by far the largest derived
     data (2 GB at k = 1M, m = 500 per model) — forced separately via
-    {!dense} so that aggregated solves, which work on group-level
-    matrices instead, never materialise them. *)
+    {!dense}. Every row is a bit-for-bit copy of the client's node row
+    of [ns_rtt] / [ns_rtt_true], so no solver reads them: the exact
+    solvers index the node tier through [client_nodes] and the
+    aggregated ones work on group-level matrices. *)
 type dense = private {
   cs_rtt : f32;
       (** observed client-server RTT, [client * c_servers + server];
@@ -65,8 +67,9 @@ type cache = private {
   ns_rtt : f32;
       (** observed node-server RTT, [node * c_servers + server];
           penalties baked in (= {!node_server_rtt} f32-rounded). The
-          client rows of {!dense} are copies of these rows; client
-          aggregation reads them directly. *)
+          client rows of {!dense} are copies of these rows, so
+          [ns_rtt.{client_nodes.(c) * c_servers + s}] is client [c]'s
+          observed RTT to server [s]; every solver reads it here. *)
   ns_rtt_true : f32;  (** same, true delay model *)
   ss_rtt : f32;
       (** observed server-server RTT, [s1 * c_servers + s2]; mesh
@@ -114,9 +117,13 @@ val cached : t -> cache
 
 val dense : t -> dense
 (** The k x m client-server RTT matrices, built on first use by
-    blocked row-parallel copies of the cached node rows. Exact-mode
-    solvers force this; aggregated solves never call it. Same benign
-    concurrency as {!cached}. *)
+    blocked row-parallel copies of the cached node rows. No solver
+    forces this — they read the node rows directly, which
+    stay in cache where the k x m copy cannot. It stays for callers
+    that want the client tier materialised, such as the
+    stage-by-stage decomposition in capbench's planner workload,
+    which times it as [model.world_dense_s]: a stage the one-call
+    exact solve skips. Same benign concurrency as {!cached}. *)
 
 val fresh_cache : unit -> cache option Atomic.t
 (** An empty cache slot. Use in any [{ w with ... }] update that

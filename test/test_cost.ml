@@ -35,6 +35,30 @@ let test_initial_uses_observed_delays () =
     [| [| 0; 2 |]; [| 2; 0 |] |]
     (Cost.initial_matrix w)
 
+let test_fill_rejects_ragged () =
+  let w = Fixtures.standard () in
+  let invalid = Invalid_argument "Cost.fill_initial_matrix: buffer does not match the world" in
+  (* the right number of rows, but a later one too short or too long:
+     the shape check must look at every row, not only the first *)
+  List.iter
+    (fun rows ->
+      Alcotest.check_raises "ragged buffer" invalid (fun () -> Cost.fill_initial_matrix w rows))
+    [ [| Array.make 2 0; Array.make 1 0 |]; [| Array.make 2 0; Array.make 3 0 |]; [| Array.make 2 0 |] ];
+  let rows = [| Array.make 2 7; Array.make 2 7 |] in
+  Cost.fill_initial_matrix w rows;
+  Alcotest.(check (array (array int))) "a well-shaped buffer is overwritten"
+    (Cost.initial_matrix w) rows
+
+let test_zone_tables () =
+  let w = Fixtures.standard () in
+  let costs, delays = Cost.zone_tables w in
+  Alcotest.(check (array (array int))) "costs are C^I" (Cost.initial_matrix w) costs;
+  (* z0 = {c0, c1}: (0 + 40) / 2 on s0, (100 + 260) / 2 on s1;
+     z1 = {c2, c3}: 300 on s0, 60 on s1 *)
+  Alcotest.(check (array (array (float 1e-9)))) "mean observed RTT"
+    [| [| 20.; 180. |]; [| 300.; 60. |] |]
+    delays
+
 let test_relayed_delay () =
   let w = Fixtures.standard () in
   let targets = [| 0; 1 |] in
@@ -99,6 +123,8 @@ let tests =
         case "initial matrix" test_initial_matrix;
         case "initial single zone" test_initial_single_zone;
         case "initial uses observed delays" test_initial_uses_observed_delays;
+        case "fill_initial_matrix rejects ragged buffers" test_fill_rejects_ragged;
+        case "zone tables" test_zone_tables;
         case "relayed delay" test_relayed_delay;
         case "refined" test_refined;
         case "refined matrix" test_refined_matrix;

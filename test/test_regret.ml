@@ -1,96 +1,117 @@
 module Regret = Cap_core.Regret
+module Walk = Regret.Walk
 
 let case name f = Alcotest.test_case name `Quick f
 
-let order ?(rule = Regret.Best_minus_second) ?(tie_break = fun _ _ -> 0.) ~servers desirability
-    ids =
-  Regret.order ~ids:(Array.of_list ids) ~servers ~desirability ~tie_break ~rule
+(* A walk over one item whose keys (lower is better) and ties are
+   given; [draw_all] lists every server in preference order. *)
+let walk ?ties keys =
+  let w = Walk.create (Array.length keys) in
+  Array.blit keys 0 (Walk.keys w) 0 (Array.length keys);
+  Option.iter (fun t -> Array.blit t 0 (Walk.ties w) 0 (Array.length t)) ties;
+  w
+
+let draw_all w =
+  Walk.start w;
+  let rec go acc = match Walk.next w with -1 -> List.rev acc | s -> go (s :: acc) in
+  go []
+
+(* Regret with GreZ's desirability, the negated key. *)
+let regret ?(rule = Regret.Best_minus_second) keys =
+  Walk.regret rule (walk keys) ~desirability:Float.neg
+
+(* [rank] over items whose key rows are given per id. *)
+let rank ?(rule = Regret.Best_minus_second) table ids =
+  let servers = Array.length table.(0) in
+  let w = Walk.create servers in
+  Regret.rank w ~rule ~ids:(Array.of_list ids)
+    ~fill:(fun id -> Array.blit table.(id) 0 (Walk.keys w) 0 servers)
+    ~desirability:Float.neg
+  |> Array.to_list
 
 let test_pref_sorting () =
-  let items = order ~servers:3 (fun _ s -> float_of_int s) [ 0 ] in
-  Alcotest.(check (list int)) "descending desirability" [ 2; 1; 0 ]
-    (Array.to_list (Array.map fst items.(0).Regret.prefs))
+  Alcotest.(check (list int)) "ascending key" [ 2; 1; 0 ] (draw_all (walk [| 2.; 1.; 0. |]))
 
 let test_tie_break () =
-  (* equal desirability everywhere: ties broken by tie_break key, then
-     server index *)
-  let items =
-    order ~servers:3
-      ~tie_break:(fun _ s -> if s = 2 then -1. else 0.)
-      (fun _ _ -> 5.)
-      [ 0 ]
-  in
+  (* equal keys everywhere: ties broken by the tie row, then server
+     index *)
   Alcotest.(check (list int)) "tie break first, then index" [ 2; 0; 1 ]
-    (Array.to_list (Array.map fst items.(0).Regret.prefs))
+    (draw_all (walk ~ties:[| 0.; 0.; -1. |] [| 5.; 5.; 5. |]))
 
 let test_regret_value () =
-  let items = order ~servers:3 (fun _ s -> [| 10.; 4.; 7. |].(s)) [ 0 ] in
-  Alcotest.(check (float 1e-9)) "best minus second" 3. items.(0).Regret.regret
+  Alcotest.(check (float 1e-9)) "best minus second" 3. (regret [| -10.; -4.; -7. |])
 
 let test_paper_rule () =
-  let items =
-    order ~rule:Regret.Second_minus_best ~servers:3 (fun _ s -> [| 10.; 4.; 7. |].(s)) [ 0 ]
-  in
-  Alcotest.(check (float 1e-9)) "second minus best" (-3.) items.(0).Regret.regret
+  Alcotest.(check (float 1e-9)) "second minus best" (-3.)
+    (regret ~rule:Regret.Second_minus_best [| -10.; -4.; -7. |])
 
 let test_processing_order () =
   (* item 1 has a much larger regret than item 0, so it goes first *)
-  let desirability j s =
-    match j, s with
-    | 0, 0 -> 5.
-    | 0, _ -> 4.9
-    | 1, 0 -> 10.
-    | 1, _ -> 1.
-    | _ -> assert false
-  in
-  let items = order ~servers:2 desirability [ 0; 1 ] in
-  Alcotest.(check (list int)) "largest regret first" [ 1; 0 ]
-    (Array.to_list (Array.map (fun i -> i.Regret.id) items))
+  let table = [| [| -5.; -4.9 |]; [| -10.; -1. |] |] in
+  Alcotest.(check (list int)) "largest regret first" [ 1; 0 ] (rank table [ 0; 1 ])
 
 let test_regret_tie_by_id () =
-  let items = order ~servers:2 (fun _ s -> float_of_int s) [ 5; 2; 9 ] in
+  let table = Array.make 10 [| 0.; -1. |] in
   Alcotest.(check (list int)) "equal regrets by ascending id" [ 2; 5; 9 ]
-    (Array.to_list (Array.map (fun i -> i.Regret.id) items))
+    (rank table [ 5; 2; 9 ])
 
 let test_single_server () =
-  let items = order ~servers:1 (fun _ _ -> 3.) [ 0; 1 ] in
-  Array.iter
-    (fun item -> Alcotest.(check (float 1e-9)) "zero regret" 0. item.Regret.regret)
-    items
+  Alcotest.(check (float 1e-9)) "zero regret" 0. (regret [| 3. |]);
+  (* even when the only option is unreachable *)
+  Alcotest.(check (float 1e-9)) "zero regret, infinite key" 0. (regret [| infinity |])
 
 let test_validation () =
-  Alcotest.check_raises "no servers" (Invalid_argument "Regret.order: need at least one server")
-    (fun () -> ignore (order ~servers:0 (fun _ _ -> 0.) [ 0 ]))
+  Alcotest.check_raises "no servers"
+    (Invalid_argument "Regret.Walk.create: need at least one server") (fun () ->
+      ignore (Walk.create 0))
 
+(* Keys and ties from a few distinct values, so ties are common. *)
+let table_gen rng ~items ~servers =
+  Array.init items (fun _ ->
+      Array.init servers (fun _ -> float_of_int (Cap_util.Rng.int rng 4)))
+
+(* The walk must reproduce the full sort the heuristics were written
+   against (Oracle.Regret.order, desirability = -key, tie-break = the
+   tie row) at any depth, through the selections and the sort. *)
 let prop_prefs_complete_and_sorted =
-  QCheck.Test.make ~name:"prefs are a sorted permutation of servers" ~count:100
-    QCheck.(pair (int_range 1 10) small_nat)
+  QCheck.Test.make ~name:"prefs are a sorted permutation of servers" ~count:200
+    QCheck.(pair (int_range 1 12) small_nat)
     (fun (servers, seed) ->
       let rng = Cap_util.Rng.create ~seed in
-      let table = Array.init 5 (fun _ -> Array.init servers (fun _ -> Cap_util.Rng.uniform rng)) in
-      let items =
-        order ~servers (fun j s -> table.(j).(s)) [ 0; 1; 2; 3; 4 ]
+      let keys = table_gen rng ~items:5 ~servers and ties = table_gen rng ~items:5 ~servers in
+      let oracle =
+        Oracle.Regret.order ~ids:[| 0; 1; 2; 3; 4 |] ~servers
+          ~desirability:(fun j s -> -.keys.(j).(s))
+          ~tie_break:(fun j s -> ties.(j).(s))
+          ~rule:Regret.Best_minus_second
       in
       Array.for_all
-        (fun item ->
-          let prefs = item.Regret.prefs in
-          let servers_seen = Array.map fst prefs |> Array.to_list |> List.sort compare in
-          servers_seen = List.init servers (fun s -> s)
-          && Array.for_all
-               (fun i -> snd prefs.(i) >= snd prefs.(i + 1))
-               (Array.init (servers - 1) (fun i -> i)))
-        items)
+        (fun (item : Oracle.Regret.item) ->
+          let j = item.Oracle.Regret.id in
+          draw_all (walk ~ties:ties.(j) keys.(j))
+          = Array.to_list (Array.map fst item.Oracle.Regret.prefs))
+        oracle)
 
 let prop_processing_order_monotone =
-  QCheck.Test.make ~name:"items sorted by descending regret" ~count:100
-    QCheck.(pair (int_range 2 8) small_nat)
-    (fun (servers, seed) ->
+  QCheck.Test.make ~name:"items sorted by descending regret" ~count:200
+    QCheck.(triple (int_range 1 8) small_nat bool)
+    (fun (servers, seed, paper) ->
       let rng = Cap_util.Rng.create ~seed in
-      let table = Array.init 6 (fun _ -> Array.init servers (fun _ -> Cap_util.Rng.uniform rng)) in
-      let items = order ~servers (fun j s -> table.(j).(s)) [ 0; 1; 2; 3; 4; 5 ] in
-      Array.for_all
-        (fun i -> items.(i).Regret.regret >= items.(i + 1).Regret.regret)
-        (Array.init 5 (fun i -> i)))
+      let keys = table_gen rng ~items:6 ~servers in
+      (* an unreachable option here and there: NaN regrets must rank
+         exactly as under compare *)
+      Array.iter
+        (fun row ->
+          Array.iteri (fun s _ -> if Cap_util.Rng.int rng 3 = 0 then row.(s) <- infinity) row)
+        keys;
+      let rule = if paper then Regret.Second_minus_best else Regret.Best_minus_second in
+      let ids = [ 0; 1; 2; 3; 4; 5 ] in
+      let oracle =
+        Oracle.Regret.order ~ids:(Array.of_list ids) ~servers
+          ~desirability:(fun j s -> -.keys.(j).(s))
+          ~tie_break:(fun _ _ -> 0.) ~rule
+      in
+      rank ~rule keys ids = Array.to_list (Array.map (fun i -> i.Oracle.Regret.id) oracle))
 
 let tests =
   [
