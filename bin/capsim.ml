@@ -1,15 +1,20 @@
 (* capsim — command-line driver for the client-assignment experiments.
 
    Subcommands:
-     report   reproduce the paper's tables and figures
-     run      run one algorithm on one configuration
-     optimal  run the branch-and-bound baseline on one configuration
-     sim      run the dynamic churn simulation
-     chaos    run the simulation under injected server faults
-     resume   continue a checkpointed sim/chaos run from a snapshot
-     serve    run the online assignment daemon on a cap-stream/1 feed
-     loadgen  emit a deterministic cap-stream/1 event stream
-     validate check scenario notation / worlds / trace CSVs
+     report     reproduce the paper's tables and figures
+     run        run one algorithm on one configuration
+     optimal    run the branch-and-bound baseline on one configuration
+     compare    run every algorithm on one world
+     plan       find the capacity a target pQoS needs
+     plots      export figure data and gnuplot scripts
+     sim        run the dynamic churn simulation
+     chaos      run the simulation under injected server and link faults
+     resume     continue a checkpointed sim/chaos run from a snapshot
+     loadgen    emit a deterministic cap-stream/1 event stream
+     serve      run the online assignment daemon on a cap-stream/1 feed
+     supervise  run serve under restart supervision (optionally a standby)
+     torture    prove crash, disk-fault and network-fault recovery
+     validate   check scenario notation / worlds / trace CSVs / snapshots / WALs
 
    Exit codes (unified convention):
      0  success
@@ -71,18 +76,61 @@ let seed_arg =
   let doc = "Base random seed; every run derives its own stream from it." in
   Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
 
-let config_arg =
+let config_info =
   let doc = "DVE configuration in paper notation, e.g. 20s-80z-1000c-500cp." in
-  Arg.(value & opt string "20s-80z-1000c-500cp" & info [ "config"; "c" ] ~docv:"CONF" ~doc)
+  Arg.info [ "config"; "c" ] ~docv:"CONF" ~doc
+
+let default_config = "20s-80z-1000c-500cp"
+
+(* The notation is kept verbatim next to the parsed scenario: snapshots
+   record the recipe exactly as given. *)
+let parse_config s =
+  match Validate.scenario_notation s with
+  | Ok scenario -> Ok (s, scenario)
+  | Error issue -> Error (`Msg ("invalid scenario: " ^ Validate.describe issue))
+
+let config_arg =
+  let config = Arg.conv (parse_config, fun ppf (s, _) -> Format.pp_print_string ppf s) in
+  Arg.(value & opt config (Result.get_ok (parse_config default_config)) & config_info)
+
+let scenario_arg = Term.(const snd $ config_arg)
 
 let time_limit_arg =
   let doc = "Wall-clock seconds budget per branch-and-bound phase." in
   Arg.(value & opt float 5. & info [ "time-limit" ] ~docv:"SECONDS" ~doc)
 
-let scenario_of_string s =
-  match Validate.scenario_notation s with
-  | Ok scenario -> Ok scenario
-  | Error issue -> Error (`Msg ("invalid scenario: " ^ Validate.describe issue))
+let algorithm_conv =
+  let parse name =
+    match Cap_core.Two_phase.find name with
+    | Some algorithm -> Ok algorithm
+    | None -> Error (`Msg ("unknown algorithm: " ^ name))
+  in
+  Arg.conv
+    (parse, fun ppf (a : Cap_core.Two_phase.t) -> Format.pp_print_string ppf a.name)
+
+let algorithm_arg doc =
+  Arg.(
+    value
+    & opt algorithm_conv Cap_core.Two_phase.grez_grec
+    & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
+
+let ( let* ) = Result.bind
+
+(* A usage error prints its one line and exits 2. *)
+let or_usage = function
+  | Ok code -> code
+  | Error m ->
+      prerr_endline m;
+      exit_usage
+
+(* [f] over every element, or the error of the last failing one *)
+let traverse f xs =
+  List.fold_right
+    (fun x acc ->
+      match acc, f x with
+      | Error e, _ | _, Error e -> Error e
+      | Ok tail, Ok y -> Ok (y :: tail))
+    xs (Ok [])
 
 (* --aggregate / --buckets: solve over weighted client aggregates
    instead of individual clients (run and sim subcommands). *)
@@ -103,21 +151,16 @@ let buckets_arg =
     & opt int Cap_model.Aggregate.default_buckets
     & info [ "buckets" ] ~docv:"N" ~doc)
 
-(* [None] = unknown algorithm name; [Some (Error _)] = a flag conflict. *)
-let resolve_algorithm ~aggregate ~buckets name =
-  match Cap_core.Two_phase.find name with
-  | None -> None
-  | Some algorithm ->
-      if not aggregate then Some (Ok algorithm)
-      else if buckets < 1 then Some (Error "capsim: --buckets must be at least 1")
-      else if algorithm.Cap_core.Two_phase.name <> Cap_core.Two_phase.grez_grec.Cap_core.Two_phase.name
-      then
-        Some
-          (Error
-             (Printf.sprintf
-                "capsim: --aggregate only supports the GreZ-GreC algorithm (got %s)"
-                algorithm.Cap_core.Two_phase.name))
-      else Some (Ok (Cap_core.Agg_solve.two_phase ~buckets ()))
+(* The bucket count to aggregate with ([None] = per-client), or the
+   flag conflict. *)
+let aggregation ~aggregate ~buckets (algorithm : Cap_core.Two_phase.t) =
+  if not aggregate then Ok None
+  else if buckets < 1 then Error "capsim: --buckets must be at least 1"
+  else if algorithm.name <> Cap_core.Two_phase.grez_grec.name then
+    Error
+      (Printf.sprintf "capsim: --aggregate only supports the GreZ-GreC algorithm (got %s)"
+         algorithm.name)
+  else Ok (Some buckets)
 
 (* ------------------------------------------------------------------ *)
 (* telemetry (Cap_obs), shared by every subcommand                     *)
@@ -214,24 +257,15 @@ let report_cmd =
     let sections =
       match sections with
       | [] -> Ok Cap_experiments.Report.all_sections
-      | names ->
-          List.fold_right
-            (fun name acc ->
-              match acc, resolve name with
-              | Error e, _ -> Error e
-              | Ok _, Error e -> Error e
-              | Ok ss, Ok s -> Ok (s :: ss))
-            names (Ok [])
+      | names -> traverse resolve names
     in
-    match sections with
-    | Error e ->
-        prerr_endline e;
-        exit_usage
-    | Ok sections ->
-        List.iter
-          (Cap_experiments.Report.print_section ?runs ~seed ~optimal_time_limit:time_limit)
-          sections;
-        0
+    or_usage
+    @@
+    let* sections = sections in
+    List.iter
+      (Cap_experiments.Report.print_section ?runs ~seed ~optimal_time_limit:time_limit)
+      sections;
+    Ok 0
   in
   let term =
     Term.(const run $ obs_term $ runs_arg $ seed_arg $ time_limit_arg $ sections_arg)
@@ -246,10 +280,6 @@ let report_cmd =
 (* run                                                                 *)
 
 let run_cmd =
-  let algorithm_arg =
-    let doc = "Algorithm: RanZ-VirC, RanZ-GreC, GreZ-VirC, GreZ-GreC (and extensions)." in
-    Arg.(value & opt string "GreZ-GreC" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-  in
   let error_arg =
     let doc = "Delay estimation error factor e >= 1 (1 = perfect input)." in
     Arg.(value & opt float 1. & info [ "error-factor"; "e" ] ~docv:"E" ~doc)
@@ -258,55 +288,54 @@ let run_cmd =
     let doc = "Write every client's delay to this CSV file (for CDF plots)." in
     Arg.(value & opt (some string) None & info [ "delays-csv" ] ~docv:"FILE" ~doc)
   in
-  let run obs config algorithm aggregate buckets seed error_factor delays_csv =
+  let run obs scenario algorithm aggregate buckets seed error_factor delays_csv =
     with_obs obs @@ fun () ->
-    match scenario_of_string config, resolve_algorithm ~aggregate ~buckets algorithm with
-    | Error (`Msg m), _ ->
-        prerr_endline m;
-        exit_usage
-    | _, None ->
-        Printf.eprintf "unknown algorithm: %s\n" algorithm;
-        exit_usage
-    | _, Some (Error msg) ->
-        prerr_endline msg;
-        exit_usage
-    | Ok scenario, Some (Ok algorithm) ->
-        let rng = Rng.create ~seed in
-        let world = World.generate rng scenario in
-        let world =
-          if error_factor > 1. then
-            World.with_estimation_error (Rng.split rng) ~factor:error_factor world
-          else world
-        in
-        let assignment, seconds =
-          Cap_experiments.Common.time_wall (fun () ->
-              Cap_core.Two_phase.run algorithm (Rng.split rng) world)
-        in
-        let table = Table.create ~headers:[ "metric"; "value" ] () in
-        Table.add_row table [ "configuration"; Scenario.notation scenario ];
-        Table.add_row table [ "algorithm"; algorithm.Cap_core.Two_phase.name ];
-        Table.add_row table [ "pQoS"; Printf.sprintf "%.4f" (Assignment.pqos assignment world) ];
-        Table.add_row table
-          [ "resource utilization"; Printf.sprintf "%.4f" (Assignment.utilization assignment world) ];
-        Table.add_row table
-          [ "valid (capacities)"; string_of_bool (Assignment.is_valid assignment world) ];
-        Table.add_row table [ "wall time (s)"; Printf.sprintf "%.4f" seconds ];
-        Table.print table;
-        (match delays_csv with
-        | None -> ()
-        | Some file ->
-            let delays = Assignment.delay_samples assignment world in
-            let out = open_out file in
-            output_string out "client,delay_ms\n";
-            Array.iteri (fun c d -> Printf.fprintf out "%d,%.3f\n" c d) delays;
-            close_out out;
-            Printf.printf "wrote %d delays to %s\n" (Array.length delays) file);
-        0
+    or_usage
+    @@
+    let* buckets = aggregation ~aggregate ~buckets algorithm in
+    let algorithm =
+      match buckets with
+      | None -> algorithm
+      | Some buckets -> Cap_core.Agg_solve.two_phase ~buckets ()
+    in
+    let rng = Rng.create ~seed in
+    let world = World.generate rng scenario in
+    let world =
+      if error_factor > 1. then
+        World.with_estimation_error (Rng.split rng) ~factor:error_factor world
+      else world
+    in
+    let assignment, seconds =
+      Cap_experiments.Common.time_wall (fun () ->
+          Cap_core.Two_phase.run algorithm (Rng.split rng) world)
+    in
+    let table = Table.create ~headers:[ "metric"; "value" ] () in
+    Table.add_row table [ "configuration"; Scenario.notation scenario ];
+    Table.add_row table [ "algorithm"; algorithm.Cap_core.Two_phase.name ];
+    Table.add_row table [ "pQoS"; Printf.sprintf "%.4f" (Assignment.pqos assignment world) ];
+    Table.add_row table
+      [ "resource utilization"; Printf.sprintf "%.4f" (Assignment.utilization assignment world) ];
+    Table.add_row table
+      [ "valid (capacities)"; string_of_bool (Assignment.is_valid assignment world) ];
+    Table.add_row table [ "wall time (s)"; Printf.sprintf "%.4f" seconds ];
+    Table.print table;
+    (match delays_csv with
+    | None -> ()
+    | Some file ->
+        let delays = Assignment.delay_samples assignment world in
+        let out = open_out file in
+        output_string out "client,delay_ms\n";
+        Array.iteri (fun c d -> Printf.fprintf out "%d,%.3f\n" c d) delays;
+        close_out out;
+        Printf.printf "wrote %d delays to %s\n" (Array.length delays) file);
+    Ok 0
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ algorithm_arg $ aggregate_arg $ buckets_arg
-      $ seed_arg $ error_arg $ delays_csv_arg)
+      const run $ obs_term $ scenario_arg
+      $ algorithm_arg
+          "Algorithm: RanZ-VirC, RanZ-GreC, GreZ-VirC, GreZ-GreC (and extensions)."
+      $ aggregate_arg $ buckets_arg $ seed_arg $ error_arg $ delays_csv_arg)
   in
   Cmd.v (Cmd.info "run" ~exits ~doc:"Run one assignment algorithm on one configuration.") term
 
@@ -314,40 +343,35 @@ let run_cmd =
 (* optimal                                                             *)
 
 let optimal_cmd =
-  let run obs config seed time_limit =
+  let run obs scenario seed time_limit =
     with_obs obs @@ fun () ->
-    match scenario_of_string config with
-    | Error (`Msg m) ->
-        prerr_endline m;
-        exit_usage
-    | Ok scenario ->
-        let rng = Rng.create ~seed in
-        let world = World.generate rng scenario in
-        let options = { Cap_milp.Branch_bound.default_options with time_limit } in
-        (match Cap_milp.Optimal.solve ~options world with
-        | None ->
-            print_endline "no feasible initial assignment found within budget";
-            ()
-        | Some (assignment, iap, rap) ->
-            let table = Table.create ~headers:[ "metric"; "value" ] () in
-            Table.add_row table [ "pQoS"; Printf.sprintf "%.4f" (Assignment.pqos assignment world) ];
-            Table.add_row table
-              [
-                "resource utilization";
-                Printf.sprintf "%.4f" (Assignment.utilization assignment world);
-              ];
-            Table.add_row table
-              [ "IAP"; Printf.sprintf "cost %.0f, %d nodes, %.3fs, optimal=%b"
-                  iap.Cap_milp.Optimal.objective iap.Cap_milp.Optimal.nodes
-                  iap.Cap_milp.Optimal.elapsed iap.Cap_milp.Optimal.proven_optimal ];
-            Table.add_row table
-              [ "RAP"; Printf.sprintf "cost %.0f, %d nodes, %.3fs, optimal=%b"
-                  rap.Cap_milp.Optimal.objective rap.Cap_milp.Optimal.nodes
-                  rap.Cap_milp.Optimal.elapsed rap.Cap_milp.Optimal.proven_optimal ];
-            Table.print table);
-        0
+    let rng = Rng.create ~seed in
+    let world = World.generate rng scenario in
+    let options = { Cap_milp.Branch_bound.default_options with time_limit } in
+    (match Cap_milp.Optimal.solve ~options world with
+    | None ->
+        print_endline "no feasible initial assignment found within budget";
+        ()
+    | Some (assignment, iap, rap) ->
+        let table = Table.create ~headers:[ "metric"; "value" ] () in
+        Table.add_row table [ "pQoS"; Printf.sprintf "%.4f" (Assignment.pqos assignment world) ];
+        Table.add_row table
+          [
+            "resource utilization";
+            Printf.sprintf "%.4f" (Assignment.utilization assignment world);
+          ];
+        Table.add_row table
+          [ "IAP"; Printf.sprintf "cost %.0f, %d nodes, %.3fs, optimal=%b"
+              iap.Cap_milp.Optimal.objective iap.Cap_milp.Optimal.nodes
+              iap.Cap_milp.Optimal.elapsed iap.Cap_milp.Optimal.proven_optimal ];
+        Table.add_row table
+          [ "RAP"; Printf.sprintf "cost %.0f, %d nodes, %.3fs, optimal=%b"
+              rap.Cap_milp.Optimal.objective rap.Cap_milp.Optimal.nodes
+              rap.Cap_milp.Optimal.elapsed rap.Cap_milp.Optimal.proven_optimal ];
+        Table.print table);
+    0
   in
-  let term = Term.(const run $ obs_term $ config_arg $ seed_arg $ time_limit_arg) in
+  let term = Term.(const run $ obs_term $ scenario_arg $ seed_arg $ time_limit_arg) in
   Cmd.v
     (Cmd.info "optimal" ~exits
        ~doc:"Run the branch-and-bound baseline (the lp_solve substitute).")
@@ -361,81 +385,76 @@ let compare_cmd =
     let doc = "Also run the branch-and-bound baseline (small configurations only)." in
     Arg.(value & flag & info [ "optimal" ] ~doc)
   in
-  let run obs config seed time_limit with_optimal =
+  let run obs scenario seed time_limit with_optimal =
     with_obs obs @@ fun () ->
-    match scenario_of_string config with
-    | Error (`Msg m) ->
-        prerr_endline m;
-        exit_usage
-    | Ok scenario ->
-        let rng = Rng.create ~seed in
-        let world = World.generate rng scenario in
-        let loadz_virc =
-          {
-            Cap_core.Two_phase.name = "LoadZ-VirC (related work)";
-            iap = (fun _rng w -> Cap_core.Balance.assign w);
-            rap = (fun _rng w ~targets -> Cap_core.Virc.assign w ~targets);
-          }
+    let rng = Rng.create ~seed in
+    let world = World.generate rng scenario in
+    let loadz_virc =
+      {
+        Cap_core.Two_phase.name = "LoadZ-VirC (related work)";
+        iap = (fun _rng w -> Cap_core.Balance.assign w);
+        rap = (fun _rng w ~targets -> Cap_core.Virc.assign w ~targets);
+      }
+    in
+    let candidates =
+      Cap_core.Two_phase.all
+      @ [
+          loadz_virc;
+          Cap_core.Two_phase.grez_grec_dynamic;
+          Cap_core.Two_phase.grez_grec_paper_regret;
+        ]
+    in
+    let table =
+      Table.create
+        ~headers:
+          [ "algorithm"; "pQoS"; "R"; "median(ms)"; "p95(ms)"; "Jain"; "time(s)" ]
+        ()
+    in
+    let row name (s : Cap_model.Metrics.summary) seconds =
+      Table.add_row table
+        [
+          name;
+          Printf.sprintf "%.3f" s.Cap_model.Metrics.pqos;
+          Printf.sprintf "%.3f" s.Cap_model.Metrics.utilization;
+          Printf.sprintf "%.0f" s.Cap_model.Metrics.median_delay;
+          Printf.sprintf "%.0f" s.Cap_model.Metrics.p95_delay;
+          Printf.sprintf "%.3f" s.Cap_model.Metrics.jain_fairness;
+          Printf.sprintf "%.4f" seconds;
+        ]
+    in
+    List.iter
+      (fun algorithm ->
+        let assignment, seconds =
+          Cap_experiments.Common.time_wall (fun () ->
+              Cap_core.Two_phase.run algorithm (Rng.split rng) world)
         in
-        let candidates =
-          Cap_core.Two_phase.all
-          @ [
-              loadz_virc;
-              Cap_core.Two_phase.grez_grec_dynamic;
-              Cap_core.Two_phase.grez_grec_paper_regret;
-            ]
-        in
-        let table =
-          Table.create
-            ~headers:
-              [ "algorithm"; "pQoS"; "R"; "median(ms)"; "p95(ms)"; "Jain"; "time(s)" ]
-            ()
-        in
-        let row name (s : Cap_model.Metrics.summary) seconds =
-          Table.add_row table
-            [
-              name;
-              Printf.sprintf "%.3f" s.Cap_model.Metrics.pqos;
-              Printf.sprintf "%.3f" s.Cap_model.Metrics.utilization;
-              Printf.sprintf "%.0f" s.Cap_model.Metrics.median_delay;
-              Printf.sprintf "%.0f" s.Cap_model.Metrics.p95_delay;
-              Printf.sprintf "%.3f" s.Cap_model.Metrics.jain_fairness;
-              Printf.sprintf "%.4f" seconds;
-            ]
-        in
-        List.iter
-          (fun algorithm ->
-            let assignment, seconds =
-              Cap_experiments.Common.time_wall (fun () ->
-                  Cap_core.Two_phase.run algorithm (Rng.split rng) world)
-            in
-            row algorithm.Cap_core.Two_phase.name
-              (Cap_model.Metrics.summary assignment world)
-              seconds)
-          candidates;
-        if with_optimal then begin
-          let options = { Cap_milp.Branch_bound.default_options with time_limit } in
-          match Cap_milp.Optimal.solve ~options world with
-          | Some (assignment, iap, rap) ->
-              row
-                (Printf.sprintf "optimal B&B%s"
-                   (if
-                      iap.Cap_milp.Optimal.proven_optimal
-                      && rap.Cap_milp.Optimal.proven_optimal
-                    then ""
-                    else " (budget hit)"))
-                (Cap_model.Metrics.summary assignment world)
-                (iap.Cap_milp.Optimal.elapsed +. rap.Cap_milp.Optimal.elapsed)
-          | None -> print_endline "optimal: no feasible assignment found within budget"
-        end;
-        Printf.printf "one world, configuration %s, seed %d:\n" (Scenario.notation scenario)
-          seed;
-        Table.print table;
-        0
+        row algorithm.Cap_core.Two_phase.name
+          (Cap_model.Metrics.summary assignment world)
+          seconds)
+      candidates;
+    if with_optimal then begin
+      let options = { Cap_milp.Branch_bound.default_options with time_limit } in
+      match Cap_milp.Optimal.solve ~options world with
+      | Some (assignment, iap, rap) ->
+          row
+            (Printf.sprintf "optimal B&B%s"
+               (if
+                  iap.Cap_milp.Optimal.proven_optimal
+                  && rap.Cap_milp.Optimal.proven_optimal
+                then ""
+                else " (budget hit)"))
+            (Cap_model.Metrics.summary assignment world)
+            (iap.Cap_milp.Optimal.elapsed +. rap.Cap_milp.Optimal.elapsed)
+      | None -> print_endline "optimal: no feasible assignment found within budget"
+    end;
+    Printf.printf "one world, configuration %s, seed %d:\n" (Scenario.notation scenario)
+      seed;
+    Table.print table;
+    0
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ time_limit_arg $ with_optimal_arg)
+      const run $ obs_term $ scenario_arg $ seed_arg $ time_limit_arg $ with_optimal_arg)
   in
   Cmd.v
     (Cmd.info "compare" ~exits
@@ -450,40 +469,29 @@ let plan_cmd =
     let doc = "Target pQoS in (0, 1]." in
     Arg.(value & opt float 0.9 & info [ "target-pqos"; "t" ] ~docv:"PQOS" ~doc)
   in
-  let algorithm_arg =
-    Arg.(value & opt string "GreZ-GreC" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"Algorithm.")
-  in
-  let run obs config seed runs target algorithm =
+  let run obs scenario seed runs target algorithm =
     with_obs obs @@ fun () ->
-    match scenario_of_string config, Cap_core.Two_phase.find algorithm with
-    | Error (`Msg m), _ ->
-        prerr_endline m;
-        exit_usage
-    | _, None ->
-        Printf.eprintf "unknown algorithm: %s\n" algorithm;
-        exit_usage
-    | Ok scenario, Some algorithm -> (
-        try
-          let plan =
-            Cap_experiments.Planner.plan ?runs ~seed ~algorithm ~target_pqos:target scenario
-          in
-          Table.print (Cap_experiments.Planner.to_table plan);
-          (match plan.Cap_experiments.Planner.required_mbps with
-          | Some mbps ->
-              Printf.printf "target pQoS %.2f needs about %.0f Mbps of total capacity\n"
-                target mbps
-          | None ->
-              Printf.printf
-                "target pQoS %.2f is out of reach on this topology (ceiling %.3f)\n" target
-                plan.Cap_experiments.Planner.ceiling_pqos);
-          0
-        with Invalid_argument m ->
-          prerr_endline m;
-          exit_usage)
+    try
+      let plan =
+        Cap_experiments.Planner.plan ?runs ~seed ~algorithm ~target_pqos:target scenario
+      in
+      Table.print (Cap_experiments.Planner.to_table plan);
+      (match plan.Cap_experiments.Planner.required_mbps with
+      | Some mbps ->
+          Printf.printf "target pQoS %.2f needs about %.0f Mbps of total capacity\n" target
+            mbps
+      | None ->
+          Printf.printf "target pQoS %.2f is out of reach on this topology (ceiling %.3f)\n"
+            target plan.Cap_experiments.Planner.ceiling_pqos);
+      0
+    with Invalid_argument m ->
+      prerr_endline m;
+      exit_usage
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ runs_arg $ target_arg $ algorithm_arg)
+      const run $ obs_term $ scenario_arg $ seed_arg $ runs_arg $ target_arg
+      $ algorithm_arg "Algorithm.")
   in
   Cmd.v
     (Cmd.info "plan" ~exits
@@ -632,19 +640,37 @@ let report_sim_outcome ~command ~trace_csv (outcome : Dve_sim.outcome) =
       List.iter (Printf.eprintf "  %s\n") violations;
       exit_violation
 
+(* Run the run [spec] describes on its regenerated [world]: from the
+   top, or from [resume]'s checkpoint. [rng] has drawn everything the
+   original setup drew before the simulator config. *)
+let run_spec ?resume ~ck ~trace_csv ~algorithm (spec : Sim_run.spec) rng world =
+  let config = Sim_run.config spec rng world in
+  let* checkpoint = checkpoint_hook ck spec in
+  let outcome =
+    match resume with
+    | None -> Dve_sim.run ?checkpoint rng config ~world ~algorithm
+    | Some snapshot ->
+        Printf.printf "resuming %s\n" (Sim_run.describe snapshot);
+        Dve_sim.resume ?checkpoint config ~world ~algorithm snapshot.Sim_run.state
+  in
+  Ok (report_sim_outcome ~command:spec.command ~trace_csv outcome)
+
+(* flags sim and chaos share *)
+
+let sim_duration_arg =
+  Arg.(value & opt float 600. & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated time.")
+
+let sim_policy_arg =
+  let doc = "Reassignment policy: never, periodic:SECONDS, or threshold:PQOS[:COOLDOWN]." in
+  Arg.(value & opt string "periodic:100" & info [ "policy" ] ~docv:"POLICY" ~doc)
+
+let sim_algorithm_arg = algorithm_arg "Algorithm."
+
+let sim_trace_csv_arg =
+  let doc = "Also write the time series to this CSV file." in
+  Arg.(value & opt (some string) None & info [ "trace-csv" ] ~docv:"FILE" ~doc)
+
 let sim_cmd =
-  let duration_arg =
-    Arg.(value & opt float 600. & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated time.")
-  in
-  let policy_arg =
-    let doc =
-      "Reassignment policy: never, periodic:SECONDS, or threshold:PQOS[:COOLDOWN]."
-    in
-    Arg.(value & opt string "periodic:100" & info [ "policy" ] ~docv:"POLICY" ~doc)
-  in
-  let algorithm_arg =
-    Arg.(value & opt string "GreZ-GreC" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"Algorithm.")
-  in
   let roam_arg =
     let doc = "Avatars roam to adjacent zones of a grid layout instead of teleporting." in
     Arg.(value & flag & info [ "roam" ] ~doc)
@@ -657,107 +683,53 @@ let sim_cmd =
     let doc = "Diurnal arrival modulation with this amplitude in [0,1] (random region phases)." in
     Arg.(value & opt (some float) None & info [ "diurnal" ] ~docv:"AMPLITUDE" ~doc)
   in
-  let trace_csv_arg =
-    let doc = "Also write the time series to this CSV file." in
-    Arg.(value & opt (some string) None & info [ "trace-csv" ] ~docv:"FILE" ~doc)
-  in
   let parse_flash s =
     match String.split_on_char ':' s with
     | [ at; fraction ] -> (
         match float_of_string_opt at, float_of_string_opt fraction with
-        | Some at, Some fraction ->
-            Ok { Cap_sim.Dve_sim.at; fraction; target_zone = None }
+        | Some at, Some fraction -> Ok { Dve_sim.at; fraction; target_zone = None }
         | _ -> Error ("bad flash spec: " ^ s))
     | _ -> Error ("bad flash spec: " ^ s)
   in
-  let run obs config seed duration policy algorithm aggregate buckets roam flash diurnal
-      trace_csv ck =
+  let run obs (notation, scenario) seed duration policy algorithm aggregate buckets roam
+      flash diurnal trace_csv ck =
     with_obs obs @@ fun () ->
-    match
-      ( scenario_of_string config,
-        parse_policy policy,
-        resolve_algorithm ~aggregate ~buckets algorithm )
-    with
-    | Error (`Msg m), _, _ ->
-        prerr_endline m;
-        exit_usage
-    | _, Error m, _ ->
-        prerr_endline m;
-        exit_usage
-    | _, _, None ->
-        Printf.eprintf "unknown algorithm: %s\n" algorithm;
-        exit_usage
-    | _, _, Some (Error m) ->
-        prerr_endline m;
-        exit_usage
-    | Ok scenario, Ok policy, Some (Ok algo) -> (
-        let flash_crowd =
-          match flash with
-          | None -> Ok None
-          | Some s -> Result.map Option.some (parse_flash s)
-        in
-        match flash_crowd with
-        | Error m ->
-            prerr_endline m;
-            exit_usage
-        | Ok flash_crowd -> (
-            let rng = Rng.create ~seed in
-            let world = World.generate rng scenario in
-            let movement =
-              if roam then
-                Cap_sim.Dve_sim.Roam
-                  (Cap_model.Zone_map.square_for ~zones:(World.zone_count world))
-              else Cap_sim.Dve_sim.Teleport
-            in
-            let diurnal_model =
-              Option.map
-                (fun amplitude ->
-                  Cap_sim.Diurnal.random (Rng.split rng) ~regions:world.World.regions
-                    ~amplitude ())
-                diurnal
-            in
-            let sim_config =
-              {
-                Cap_sim.Dve_sim.default_config with
-                duration;
-                policy;
-                movement;
-                flash_crowd;
-                diurnal = diurnal_model;
-              }
-            in
-            let spec =
-              {
-                Sim_run.command = Sim_run.Sim;
-                scenario = config;
-                seed;
-                algorithm;
-                duration;
-                policy;
-                roam;
-                flash = flash_crowd;
-                diurnal_amplitude = diurnal;
-                faults = [];
-                failover_moves = sim_config.Cap_sim.Dve_sim.failover_moves;
-                world_fingerprint = Sim_run.fingerprint world;
-              }
-            in
-            match checkpoint_hook ck spec with
-            | Error m ->
-                prerr_endline m;
-                exit_usage
-            | Ok hook ->
-                let outcome =
-                  Cap_sim.Dve_sim.run ?checkpoint:hook rng sim_config ~world
-                    ~algorithm:algo
-                in
-                report_sim_outcome ~command:Sim_run.Sim ~trace_csv outcome))
+    or_usage
+    @@
+    let* policy = parse_policy policy in
+    let* buckets = aggregation ~aggregate ~buckets algorithm in
+    let* flash =
+      match flash with
+      | None -> Ok None
+      | Some s -> Result.map Option.some (parse_flash s)
+    in
+    let rng = Rng.create ~seed in
+    let world = World.generate rng scenario in
+    let spec =
+      {
+        Sim_run.command = Sim_run.Sim;
+        scenario = notation;
+        seed;
+        algorithm = algorithm.Cap_core.Two_phase.name;
+        buckets;
+        duration;
+        policy;
+        roam;
+        flash;
+        diurnal_amplitude = diurnal;
+        faults = [];
+        failover_moves = Dve_sim.default_config.Dve_sim.failover_moves;
+        world_fingerprint = Sim_run.fingerprint world;
+      }
+    in
+    let* algorithm = Sim_run.solver spec in
+    run_spec ~ck ~trace_csv ~algorithm spec rng world
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ duration_arg $ policy_arg
-      $ algorithm_arg $ aggregate_arg $ buckets_arg $ roam_arg $ flash_arg
-      $ diurnal_arg $ trace_csv_arg $ checkpoint_term)
+      const run $ obs_term $ config_arg $ seed_arg $ sim_duration_arg $ sim_policy_arg
+      $ sim_algorithm_arg $ aggregate_arg $ buckets_arg $ roam_arg $ flash_arg
+      $ diurnal_arg $ sim_trace_csv_arg $ checkpoint_term)
   in
   Cmd.v (Cmd.info "sim" ~exits ~doc:"Run the dynamic churn simulation.") term
 
@@ -766,18 +738,6 @@ let sim_cmd =
 
 let chaos_cmd =
   let module Fault = Cap_faults.Fault in
-  let duration_arg =
-    Arg.(value & opt float 600. & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated time.")
-  in
-  let policy_arg =
-    let doc =
-      "Reassignment policy: never, periodic:SECONDS, or threshold:PQOS[:COOLDOWN]."
-    in
-    Arg.(value & opt string "periodic:100" & info [ "policy" ] ~docv:"POLICY" ~doc)
-  in
-  let algorithm_arg =
-    Arg.(value & opt string "GreZ-GreC" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"Algorithm.")
-  in
   let crash_arg =
     let doc =
       "Crash SERVER at time AT. SERVER is an index, or 'max' for the initially \
@@ -840,10 +800,6 @@ let chaos_cmd =
     let doc = "Zone-move budget for each failure-aware refresh (evacuations are free)." in
     Arg.(value & opt int 16 & info [ "failover-moves" ] ~docv:"N" ~doc)
   in
-  let trace_csv_arg =
-    let doc = "Also write the time series to this CSV file." in
-    Arg.(value & opt (some string) None & info [ "trace-csv" ] ~docv:"FILE" ~doc)
-  in
   (* "AT:SERVER" or "AT:SERVER:MS"; SERVER is an index or "max" *)
   let parse_spec kind s =
     let server_of = function
@@ -857,22 +813,14 @@ let chaos_cmd =
     match kind, parts with
     | ("crash" | "recover"), [ at; server ] -> (
         match float_of_string_opt at, server_of server with
-        | Some at, Ok server -> Ok (at, server, None)
+        | Some at, Ok server -> Ok (kind, (at, server, None))
         | _ -> Error (Printf.sprintf "bad %s spec: %s" kind s))
     | "degrade", [ at; server; ms ] -> (
         match float_of_string_opt at, server_of server, float_of_string_opt ms with
-        | Some at, Ok server, Some ms -> Ok (at, server, Some ms)
+        | Some at, Ok server, Some ms -> Ok (kind, (at, server, Some ms))
         | _ -> Error (Printf.sprintf "bad %s spec: %s" kind s))
     | _ -> Error (Printf.sprintf "bad %s spec: %s (expected AT:SERVER%s)" kind s
                     (if kind = "degrade" then ":MS" else ""))
-  in
-  let parse_all kind specs =
-    List.fold_right
-      (fun s acc ->
-        match acc, parse_spec kind s with
-        | Error e, _ | _, Error e -> Error e
-        | Ok tail, Ok spec -> Ok ((kind, spec) :: tail))
-      specs (Ok [])
   in
   (* "AT:I-J" or "AT:I-J:MS" *)
   let parse_link_spec kind s =
@@ -892,21 +840,13 @@ let chaos_cmd =
     match kind, String.split_on_char ':' s with
     | ("cut-link" | "restore-link"), [ at; link ] -> (
         match float_of_string_opt at, endpoints link with
-        | Some at, Ok (i, j) -> Ok (at, i, j, None)
+        | Some at, Ok (i, j) -> Ok (kind, (at, i, j, None))
         | _ -> fail ())
     | "degrade-link", [ at; link; ms ] -> (
         match float_of_string_opt at, endpoints link, float_of_string_opt ms with
-        | Some at, Ok (i, j), Some ms -> Ok (at, i, j, Some ms)
+        | Some at, Ok (i, j), Some ms -> Ok (kind, (at, i, j, Some ms))
         | _ -> fail ())
     | _ -> fail ()
-  in
-  let parse_link_all kind specs =
-    List.fold_right
-      (fun s acc ->
-        match acc, parse_link_spec kind s with
-        | Error e, _ | _, Error e -> Error e
-        | Ok tail, Ok spec -> Ok ((kind, spec) :: tail))
-      specs (Ok [])
   in
   (* "AT:GROUPS[:HEAL]" with GROUPS like "0,1|2,3"; group membership is
      validated later by Fault.partition, once the server count is known *)
@@ -917,23 +857,12 @@ let chaos_cmd =
            "bad partition spec: %s (expected AT:GROUPS[:HEAL], e.g. 120:0,1|2,3:60)" s)
     in
     let groups_of tok =
-      let group_of g =
-        List.fold_right
-          (fun id acc ->
-            match acc, int_of_string_opt id with
-            | Error (), _ | _, None -> Error ()
-            | Ok tail, Some i when i >= 0 -> Ok (i :: tail)
-            | _, Some _ -> Error ())
-          (String.split_on_char ',' g)
-          (Ok [])
+      let id_of id =
+        match int_of_string_opt id with Some i when i >= 0 -> Ok i | _ -> Error ()
       in
-      List.fold_right
-        (fun g acc ->
-          match acc, group_of g with
-          | Error (), _ | _, Error () -> Error ()
-          | Ok tail, Ok ids -> Ok (ids :: tail))
+      traverse
+        (fun g -> traverse id_of (String.split_on_char ',' g))
         (String.split_on_char '|' tok)
-        (Ok [])
     in
     match String.split_on_char ':' s with
     | [ at; groups ] -> (
@@ -946,168 +875,125 @@ let chaos_cmd =
         | _ -> fail ())
     | _ -> fail ()
   in
-  let parse_partition_all specs =
-    List.fold_right
-      (fun s acc ->
-        match acc, parse_partition_spec s with
-        | Error e, _ | _, Error e -> Error e
-        | Ok tail, Ok spec -> Ok (spec :: tail))
-      specs (Ok [])
-  in
-  let run obs config seed duration policy algorithm failover_moves crashes recovers
-      degrades mtbf mttr cut_links restore_links degrade_links partitions link_mtbf
-      link_mttr trace_csv ck =
+  let run obs (notation, scenario) seed duration policy algorithm failover_moves crashes
+      recovers degrades mtbf mttr cut_links restore_links degrade_links partitions
+      link_mtbf link_mttr trace_csv ck =
     with_obs obs @@ fun () ->
-    let specs =
-      match parse_all "crash" crashes, parse_all "recover" recovers,
-            parse_all "degrade" degrades with
-      | Ok c, Ok r, Ok d -> Ok (c @ r @ d)
-      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
-    in
-    let link_specs =
-      match parse_link_all "cut-link" cut_links,
-            parse_link_all "restore-link" restore_links,
-            parse_link_all "degrade-link" degrade_links with
-      | Ok c, Ok r, Ok d -> Ok (c @ r @ d)
-      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
-    in
-    let all_specs =
-      match specs, link_specs, parse_partition_all partitions with
-      | Ok s, Ok l, Ok p -> Ok (s, l, p)
-      | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
-    in
-    match scenario_of_string config, parse_policy policy,
-          Cap_core.Two_phase.find algorithm, all_specs with
-    | Error (`Msg m), _, _, _ | _, Error m, _, _ | _, _, _, Error m ->
-        prerr_endline m;
-        exit_usage
-    | _, _, None, _ ->
-        Printf.eprintf "unknown algorithm: %s\n" algorithm;
-        exit_usage
-    | Ok scenario, Ok policy, Some algo, Ok (specs, link_specs, partition_specs) -> (
-        try
-          let rng = Rng.create ~seed in
-          let world = World.generate rng scenario in
-          let most_loaded =
-            (* resolved against the initial assignment, before any churn *)
-            if List.exists (fun (_, (_, server, _)) -> server = `Max) specs then begin
-              let a = Cap_core.Two_phase.run algo (Rng.split rng) world in
-              let loads = Assignment.server_loads a world in
-              let best = ref 0 in
-              Array.iteri (fun s l -> if l > loads.(!best) then best := s) loads;
-              Printf.printf "resolved 'max' to server %d (initially most loaded)\n" !best;
-              Some !best
-            end
-            else None
-          in
-          let resolve = function `Index i -> i | `Max -> Option.get most_loaded in
-          let manual =
-            List.map
-              (fun (kind, (at, server, ms)) ->
-                let server = resolve server in
-                let event =
-                  match kind, ms with
-                  | "crash", _ -> Fault.Crash server
-                  | "recover", _ -> Fault.Recover server
-                  | "degrade", Some delay_penalty -> Fault.Degrade { server; delay_penalty }
-                  | _ -> assert false
-                in
-                { Fault.at; event })
-              specs
-          in
-          let link_manual =
-            List.map
-              (fun (kind, (at, s1, s2, ms)) ->
-                let event =
-                  match kind, ms with
-                  | "cut-link", _ -> Fault.Link_cut { s1; s2 }
-                  | "restore-link", _ -> Fault.Link_restore { s1; s2 }
-                  | "degrade-link", Some delay_penalty ->
-                      Fault.Link_degrade { s1; s2; delay_penalty }
-                  | _ -> assert false
-                in
-                { Fault.at; event })
-              link_specs
-          in
-          let partition_manual =
-            List.concat_map
-              (fun (at, groups, heal_after) ->
-                let groups = Array.of_list (List.map Array.of_list groups) in
-                Fault.partition ~servers:(World.server_count world) ~groups ~at
-                  ?heal_after ())
-              partition_specs
-          in
-          let generated =
-            match mtbf, mttr with
-            | Some mtbf, Some mttr ->
-                Fault.poisson (Rng.split rng) ~servers:(World.server_count world) ~mtbf
-                  ~mttr ~duration
-            | None, None -> []
-            | _ -> invalid_arg "chaos: --mtbf and --mttr must be given together"
-          in
-          let link_generated =
-            match link_mtbf, link_mttr with
-            | Some mtbf, Some mttr ->
-                Fault.link_flapping (Rng.split rng)
-                  ~servers:(World.server_count world) ~mtbf ~mttr ~duration
-            | None, None -> []
-            | _ -> invalid_arg "chaos: --link-mtbf and --link-mttr must be given together"
-          in
-          let faults =
-            Fault.merge [ manual; link_manual; partition_manual; generated; link_generated ]
-          in
-          if faults = [] then
-            invalid_arg
-              "chaos: no faults given (use --crash/--degrade, --cut-link/--partition, \
-               --mtbf/--mttr or --link-mtbf/--link-mttr)";
-          Printf.printf "fault schedule: %s\n" (Fault.describe faults);
-          let sim_config =
-            {
-              Cap_sim.Dve_sim.default_config with
-              duration;
-              policy;
-              faults;
-              failover_moves;
-            }
-          in
-          let spec =
-            {
-              Sim_run.command = Sim_run.Chaos;
-              scenario = config;
-              seed;
-              algorithm;
-              duration;
-              policy;
-              roam = false;
-              flash = None;
-              diurnal_amplitude = None;
-              (* the fully resolved schedule: resume does not replay the
-                 'max' lookup or the Poisson generator *)
-              faults;
-              failover_moves;
-              world_fingerprint = Sim_run.fingerprint world;
-            }
-          in
-          match checkpoint_hook ck spec with
-          | Error m ->
-              prerr_endline m;
-              exit_usage
-          | Ok hook ->
-              let outcome =
-                Cap_sim.Dve_sim.run ?checkpoint:hook rng sim_config ~world
-                  ~algorithm:algo
-              in
-              report_sim_outcome ~command:Sim_run.Chaos ~trace_csv outcome
-        with Invalid_argument m ->
-          prerr_endline m;
-          exit_usage)
+    or_usage
+    @@
+    let* policy = parse_policy policy in
+    let* crashes = traverse (parse_spec "crash") crashes in
+    let* recovers = traverse (parse_spec "recover") recovers in
+    let* degrades = traverse (parse_spec "degrade") degrades in
+    let* cut_links = traverse (parse_link_spec "cut-link") cut_links in
+    let* restore_links = traverse (parse_link_spec "restore-link") restore_links in
+    let* degrade_links = traverse (parse_link_spec "degrade-link") degrade_links in
+    let* partition_specs = traverse parse_partition_spec partitions in
+    let specs = crashes @ recovers @ degrades in
+    let link_specs = cut_links @ restore_links @ degrade_links in
+    try
+      let rng = Rng.create ~seed in
+      let world = World.generate rng scenario in
+      let most_loaded =
+        (* resolved against the initial assignment, before any churn *)
+        if List.exists (fun (_, (_, server, _)) -> server = `Max) specs then begin
+          let a = Cap_core.Two_phase.run algorithm (Rng.split rng) world in
+          let loads = Assignment.server_loads a world in
+          let best = ref 0 in
+          Array.iteri (fun s l -> if l > loads.(!best) then best := s) loads;
+          Printf.printf "resolved 'max' to server %d (initially most loaded)\n" !best;
+          Some !best
+        end
+        else None
+      in
+      let resolve = function `Index i -> i | `Max -> Option.get most_loaded in
+      let manual =
+        List.map
+          (fun (kind, (at, server, ms)) ->
+            let server = resolve server in
+            let event =
+              match kind, ms with
+              | "crash", _ -> Fault.Crash server
+              | "recover", _ -> Fault.Recover server
+              | "degrade", Some delay_penalty -> Fault.Degrade { server; delay_penalty }
+              | _ -> assert false
+            in
+            { Fault.at; event })
+          specs
+      in
+      let link_manual =
+        List.map
+          (fun (kind, (at, s1, s2, ms)) ->
+            let event =
+              match kind, ms with
+              | "cut-link", _ -> Fault.Link_cut { s1; s2 }
+              | "restore-link", _ -> Fault.Link_restore { s1; s2 }
+              | "degrade-link", Some delay_penalty ->
+                  Fault.Link_degrade { s1; s2; delay_penalty }
+              | _ -> assert false
+            in
+            { Fault.at; event })
+          link_specs
+      in
+      let partition_manual =
+        List.concat_map
+          (fun (at, groups, heal_after) ->
+            let groups = Array.of_list (List.map Array.of_list groups) in
+            Fault.partition ~servers:(World.server_count world) ~groups ~at ?heal_after ())
+          partition_specs
+      in
+      let generated =
+        match mtbf, mttr with
+        | Some mtbf, Some mttr ->
+            Fault.poisson (Rng.split rng) ~servers:(World.server_count world) ~mtbf ~mttr
+              ~duration
+        | None, None -> []
+        | _ -> invalid_arg "chaos: --mtbf and --mttr must be given together"
+      in
+      let link_generated =
+        match link_mtbf, link_mttr with
+        | Some mtbf, Some mttr ->
+            Fault.link_flapping (Rng.split rng) ~servers:(World.server_count world) ~mtbf
+              ~mttr ~duration
+        | None, None -> []
+        | _ -> invalid_arg "chaos: --link-mtbf and --link-mttr must be given together"
+      in
+      let faults =
+        Fault.merge [ manual; link_manual; partition_manual; generated; link_generated ]
+      in
+      if faults = [] then
+        invalid_arg
+          "chaos: no faults given (use --crash/--degrade, --cut-link/--partition, \
+           --mtbf/--mttr or --link-mtbf/--link-mttr)";
+      Printf.printf "fault schedule: %s\n" (Fault.describe faults);
+      let spec =
+        {
+          Sim_run.command = Sim_run.Chaos;
+          scenario = notation;
+          seed;
+          algorithm = algorithm.Cap_core.Two_phase.name;
+          buckets = None;
+          duration;
+          policy;
+          roam = false;
+          flash = None;
+          diurnal_amplitude = None;
+          (* the fully resolved schedule: resume does not replay the
+             'max' lookup or the Poisson generator *)
+          faults;
+          failover_moves;
+          world_fingerprint = Sim_run.fingerprint world;
+        }
+      in
+      run_spec ~ck ~trace_csv ~algorithm spec rng world
+    with Invalid_argument m -> Error m
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ duration_arg $ policy_arg
-      $ algorithm_arg $ failover_moves_arg $ crash_arg $ recover_arg $ degrade_arg
+      const run $ obs_term $ config_arg $ seed_arg $ sim_duration_arg $ sim_policy_arg
+      $ sim_algorithm_arg $ failover_moves_arg $ crash_arg $ recover_arg $ degrade_arg
       $ mtbf_arg $ mttr_arg $ cut_link_arg $ restore_link_arg $ degrade_link_arg
-      $ partition_arg $ link_mtbf_arg $ link_mttr_arg $ trace_csv_arg
+      $ partition_arg $ link_mtbf_arg $ link_mttr_arg $ sim_trace_csv_arg
       $ checkpoint_term)
   in
   Cmd.v
@@ -1132,81 +1018,38 @@ let resume_cmd =
   in
   let run obs path ck trace_csv =
     with_obs obs @@ fun () ->
-    match Sim_run.load ~path with
-    | Error e ->
-        Printf.eprintf "capsim: %s\n" (Envelope.describe e);
-        exit_usage
-    | Ok ({ Sim_run.spec; state } as snapshot) -> (
-        match
-          ( Validate.scenario_notation spec.Sim_run.scenario,
-            Cap_core.Two_phase.find spec.Sim_run.algorithm )
-        with
-        | Error issue, _ ->
-            Printf.eprintf "capsim: snapshot scenario: %s\n" (Validate.describe issue);
-            exit_usage
-        | _, None ->
-            Printf.eprintf "capsim: snapshot algorithm %s is not known to this binary\n"
-              spec.Sim_run.algorithm;
-            exit_usage
-        | Ok scenario, Some algo ->
-            (* replay the original setup order exactly: create the seeded
-               RNG, generate the world, then (sim only) split for the
-               diurnal model — the simulation RNG itself is restored from
-               the checkpoint *)
-            let rng = Rng.create ~seed:spec.Sim_run.seed in
-            let world = World.generate rng scenario in
-            let fingerprint = Sim_run.fingerprint world in
-            if fingerprint <> spec.Sim_run.world_fingerprint then begin
-              Printf.eprintf
-                "capsim: snapshot world mismatch: regenerated fingerprint %s but the \
-                 snapshot recorded %s (produced by a different capsim build?)\n"
-                fingerprint spec.Sim_run.world_fingerprint;
-              exit_usage
-            end
-            else begin
-              let movement =
-                if spec.Sim_run.roam then
-                  Cap_sim.Dve_sim.Roam
-                    (Cap_model.Zone_map.square_for ~zones:(World.zone_count world))
-                else Cap_sim.Dve_sim.Teleport
-              in
-              let diurnal =
-                Option.map
-                  (fun amplitude ->
-                    Cap_sim.Diurnal.random (Rng.split rng)
-                      ~regions:world.World.regions ~amplitude ())
-                  spec.Sim_run.diurnal_amplitude
-              in
-              let sim_config =
-                {
-                  Cap_sim.Dve_sim.default_config with
-                  duration = spec.Sim_run.duration;
-                  policy = spec.Sim_run.policy;
-                  movement;
-                  flash_crowd = spec.Sim_run.flash;
-                  diurnal;
-                  faults = spec.Sim_run.faults;
-                  failover_moves = spec.Sim_run.failover_moves;
-                }
-              in
-              (* keep checkpointing to the same file unless told otherwise *)
-              let ck = { ck with ck_path = Some (Option.value ck.ck_path ~default:path) } in
-              match checkpoint_hook ck spec with
-              | Error m ->
-                  prerr_endline m;
-                  exit_usage
-              | Ok hook -> (
-                  Printf.printf "resuming %s\n" (Sim_run.describe snapshot);
-                  match
-                    Cap_sim.Dve_sim.resume ?checkpoint:hook sim_config ~world
-                      ~algorithm:algo state
-                  with
-                  | outcome ->
-                      report_sim_outcome ~command:spec.Sim_run.command ~trace_csv outcome
-                  | exception Invalid_argument m ->
-                      Printf.eprintf "capsim: %s\n" m;
-                      exit_usage)
-            end)
+    or_usage
+    @@
+    let capsim_error describe e = "capsim: " ^ describe e in
+    let* ({ Sim_run.spec; _ } as snapshot) =
+      Result.map_error (capsim_error Envelope.describe) (Sim_run.load ~path)
+    in
+    let* scenario =
+      Result.map_error
+        (capsim_error (fun i -> "snapshot scenario: " ^ Validate.describe i))
+        (Validate.scenario_notation spec.Sim_run.scenario)
+    in
+    let* algorithm =
+      Result.map_error (capsim_error (( ^ ) "snapshot ")) (Sim_run.solver spec)
+    in
+    (* replay the original setup order exactly: create the seeded RNG,
+       generate the world, then let Sim_run.config draw what the
+       original setup drew — the simulation RNG itself is restored
+       from the checkpoint *)
+    let rng = Rng.create ~seed:spec.Sim_run.seed in
+    let world = World.generate rng scenario in
+    let fingerprint = Sim_run.fingerprint world in
+    if fingerprint <> spec.Sim_run.world_fingerprint then
+      Error
+        (Printf.sprintf
+           "capsim: snapshot world mismatch: regenerated fingerprint %s but the \
+            snapshot recorded %s (produced by a different capsim build?)"
+           fingerprint spec.Sim_run.world_fingerprint)
+    else
+      (* keep checkpointing to the same file unless told otherwise *)
+      let ck = { ck with ck_path = Some (Option.value ck.ck_path ~default:path) } in
+      try run_spec ~resume:snapshot ~ck ~trace_csv ~algorithm spec rng world
+      with Invalid_argument m -> Error ("capsim: " ^ m)
   in
   let term =
     Term.(const run $ obs_term $ path_arg $ checkpoint_term $ trace_csv_arg)
@@ -1248,66 +1091,49 @@ let loadgen_cmd =
     let doc = "Omit the $(b,t) stream-clock lines." in
     Arg.(value & flag & info [ "no-time" ] ~doc)
   in
-  let run obs config seed rate duration mix diurnal ctrl_every no_time =
+  let run obs scenario seed rate duration mix diurnal ctrl_every no_time =
     with_obs obs @@ fun () ->
-    let parsed_mix =
+    or_usage
+    @@
+    let* mix =
       match String.split_on_char ':' mix |> List.map float_of_string_opt with
-      | [ Some join; Some leave; Some move ] -> Some { Loadgen.join; leave; move }
-      | _ -> None
+      | [ Some join; Some leave; Some move ] -> Ok { Loadgen.join; leave; move }
+      | _ -> Error "loadgen: --mix wants three numbers, e.g. 3:2:5"
     in
-    match scenario_of_string config, parsed_mix with
-    | Error (`Msg m), _ ->
-        prerr_endline m;
-        exit_usage
-    | _, None ->
-        Printf.eprintf "loadgen: --mix wants three numbers, e.g. 3:2:5\n";
-        exit_usage
-    | Ok scenario, Some mix -> (
-        let gen_config =
-          {
-            Loadgen.rate;
-            duration;
-            mix;
-            diurnal;
-            ctrl_every;
-            emit_time = not no_time;
-          }
-        in
-        match Loadgen.validate gen_config with
-        | Error m ->
-            Printf.eprintf "loadgen: %s\n" m;
-            exit_usage
-        | Ok () ->
-            let rng = Rng.create ~seed in
-            let world = World.generate rng scenario in
-            let events_rng = Rng.split rng in
-            let buf = Buffer.create 65536 in
-            let emit line =
-              Buffer.add_string buf
-                (match line with
-                | Proto.Hello { scenario; seed } -> Proto.format_hello ~scenario ~seed
-                | Proto.Time at -> Proto.format_time at
-                | Proto.Event event -> Proto.format_event event
-                | Proto.Resume seq -> Proto.format_resume seq
-                | Proto.End -> Proto.format_end);
-              Buffer.add_char buf '\n';
-              if Buffer.length buf >= 65536 then begin
-                Buffer.output_buffer stdout buf;
-                Buffer.clear buf
-              end
-            in
-            let events =
-              Loadgen.run events_rng ~world ~world_seed:seed gen_config ~emit
-            in
-            Buffer.output_buffer stdout buf;
-            flush stdout;
-            Printf.eprintf "loadgen: %d events for %s seed %d\n" events
-              (Scenario.notation scenario) seed;
-            0)
+    let gen_config =
+      { Loadgen.rate; duration; mix; diurnal; ctrl_every; emit_time = not no_time }
+    in
+    let* () = Result.map_error (( ^ ) "loadgen: ") (Loadgen.validate gen_config) in
+    let rng = Rng.create ~seed in
+    let world = World.generate rng scenario in
+    let events_rng = Rng.split rng in
+    let buf = Buffer.create 65536 in
+    let emit line =
+      Buffer.add_string buf
+        (match line with
+        | Proto.Hello { scenario; seed } -> Proto.format_hello ~scenario ~seed
+        | Proto.Time at -> Proto.format_time at
+        | Proto.Event event -> Proto.format_event event
+        | Proto.Resume seq -> Proto.format_resume seq
+        | Proto.End -> Proto.format_end);
+      Buffer.add_char buf '\n';
+      if Buffer.length buf >= 65536 then begin
+        Buffer.output_buffer stdout buf;
+        Buffer.clear buf
+      end
+    in
+    let events =
+      Loadgen.run events_rng ~world ~world_seed:seed gen_config ~emit
+    in
+    Buffer.output_buffer stdout buf;
+    flush stdout;
+    Printf.eprintf "loadgen: %d events for %s seed %d\n" events
+      (Scenario.notation scenario) seed;
+    Ok 0
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ rate_arg $ duration_arg $ mix_arg
+      const run $ obs_term $ scenario_arg $ seed_arg $ rate_arg $ duration_arg $ mix_arg
       $ diurnal_arg $ ctrl_arg $ no_time_arg)
   in
   Cmd.v
@@ -1326,7 +1152,7 @@ type serve_params = {
   sv_stdin : bool;
   sv_listen : string option;
   sv_expect : string option;
-  sv_algorithm : string;
+  sv_algorithm : Cap_core.Two_phase.t;
   sv_reopt_every : int;
   sv_reopt_moves : int;
   sv_max_inflight : int option;
@@ -1352,7 +1178,7 @@ let default_serve_params =
     sv_stdin = false;
     sv_listen = None;
     sv_expect = None;
-    sv_algorithm = "GreZ-GreC";
+    sv_algorithm = Cap_core.Two_phase.grez_grec;
     sv_reopt_every = 512;
     sv_reopt_moves = 8;
     sv_max_inflight = None;
@@ -1373,24 +1199,24 @@ let default_serve_params =
       Daemon_net.default_config.Daemon_net.max_events_per_sec;
   }
 
-(* hello -> engine: regenerate the world from the notation + seed, run
-   the batch bootstrap solve. Shared by serve and the torture harness's
-   in-process reference run so both build byte-identical daemons. *)
-let serve_resolve ~algorithm ~engine_config ~expect ~identity ~scenario ~seed =
-  let mismatch fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match expect with
-  | Some want when want <> scenario ->
-      mismatch "hello scenario %s does not match --expect %s" scenario want
-  | _ -> (
-      match Validate.scenario_notation scenario with
-      | Error issue ->
-          mismatch "invalid scenario in hello: %s" (Validate.describe issue)
-      | Ok parsed ->
-          let rng = Rng.create ~seed in
-          let world = World.generate rng parsed in
-          identity := Some (scenario, seed, world);
-          let assignment = Cap_core.Two_phase.run algorithm (Rng.split rng) world in
-          Ok (Engine.create ~world ~assignment engine_config))
+let engine_config p =
+  {
+    Engine.max_inflight = p.sv_max_inflight;
+    reopt_every = p.sv_reopt_every;
+    reopt_moves = p.sv_reopt_moves;
+  }
+
+(* hello -> world and bootstrap assignment: regenerate the world from
+   the notation + seed and run the batch solve. Shared by serve and the
+   in-process torture harnesses so both build byte-identical daemons. *)
+let serve_bootstrap ~algorithm ~scenario ~seed =
+  match Validate.scenario_notation scenario with
+  | Error issue ->
+      Error (Printf.sprintf "invalid scenario in hello: %s" (Validate.describe issue))
+  | Ok parsed ->
+      let rng = Rng.create ~seed in
+      let world = World.generate rng parsed in
+      Ok (world, Cap_core.Two_phase.run algorithm (Rng.split rng) world)
 
 (* the serve engine room — also what the children of [capsim supervise]
    run after fork (no exec), so everything is parameterised by
@@ -1430,11 +1256,6 @@ let serve_main p =
   (match p.sv_max_events_per_sec with
   | Some r when r <= 0. -> usage "--max-events-per-sec: must be positive"
   | _ -> ());
-  let algorithm =
-    match Cap_core.Two_phase.find p.sv_algorithm with
-    | Some a -> a
-    | None -> usage (Printf.sprintf "unknown algorithm: %s" p.sv_algorithm)
-  in
   let snapshot =
     match p.sv_resume with
     | None -> None
@@ -1446,18 +1267,21 @@ let serve_main p =
   let engine_config =
     match snapshot with
     | Some snap -> Service_run.config snap
-    | None ->
-        {
-          Engine.max_inflight = p.sv_max_inflight;
-          reopt_every = p.sv_reopt_every;
-          reopt_moves = p.sv_reopt_moves;
-        }
+    | None -> engine_config p
   in
   (* set by resolve (or the eager snapshot path), read by the sink *)
   let identity = ref None in
   let resolve ~scenario ~seed =
-    serve_resolve ~algorithm ~engine_config ~expect:p.sv_expect ~identity
-      ~scenario ~seed
+    match p.sv_expect with
+    | Some want when want <> scenario ->
+        Error
+          (Printf.sprintf "hello scenario %s does not match --expect %s" scenario want)
+    | _ ->
+        let* world, assignment =
+          serve_bootstrap ~algorithm:p.sv_algorithm ~scenario ~seed
+        in
+        identity := Some (scenario, seed, world);
+        Ok (Engine.create ~world ~assignment engine_config)
   in
   (* shared by eager --resume and the snapshot-bootstrapped standby *)
   let resume_engine snap =
@@ -1777,6 +1601,77 @@ let serve_main p =
             exit_usage
         | None -> if stats.Daemon.errors > 0 then exit_usage else 0
 
+(* WAL flags serve, supervise and torture share *)
+
+let fsync_every_arg =
+  let doc =
+    "fsync the WAL every $(docv) appended records (0 = only at shutdown). \
+     Batching trades machine-crash durability for throughput; process crashes \
+     (SIGKILL) lose nothing at any setting."
+  in
+  Arg.(
+    value
+    & opt int default_serve_params.sv_fsync_every
+    & info [ "fsync-every" ] ~docv:"N" ~doc)
+
+let segment_bytes_arg =
+  let doc =
+    "Rotate the WAL into numbered segment files ($(i,FILE).000001, ...) once \
+     the active one reaches $(docv) bytes; segments wholly covered by the \
+     latest checkpoint are garbage-collected, bounding the log's disk \
+     footprint. $(b,serve) requires $(b,--wal) with it; $(b,torture \
+     --disk-faults) defaults it to 4096, so rotation sits inside the tortured \
+     window."
+  in
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "wal-segment-bytes" ] ~docv:"BYTES" ~doc)
+
+(* The daemon flags serve and supervise share, over [default_serve_params]. *)
+let daemon_term =
+  let expect_arg =
+    let doc =
+      "Refuse streams whose hello names a different scenario (the world recipe is \
+       otherwise adopted from the hello line)."
+    in
+    Arg.(value & opt (some string) None & info [ "expect" ] ~docv:"CONF" ~doc)
+  in
+  let ck_path_arg =
+    let doc =
+      "Write crash-safe engine snapshots to $(docv) (atomic temp-file + rename). \
+       Always captured once at shutdown; combine with $(b,--checkpoint-every) for \
+       periodic captures. $(b,serve --resume) $(docv) restores one; supervised \
+       restarts resume from it."
+    in
+    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+  in
+  let ck_every_arg =
+    let doc = "Capture a snapshot every $(docv) events (requires $(b,--checkpoint))." in
+    Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"EVENTS" ~doc)
+  in
+  let quiet_arg =
+    let doc = "Do not echo responses (placement answers) to the output channel." in
+    Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
+  in
+  Term.(
+    const
+      (fun sv_expect sv_algorithm sv_ck_path sv_ck_every sv_fsync_every sv_segment_bytes
+           sv_quiet ->
+        {
+          default_serve_params with
+          sv_expect;
+          sv_algorithm;
+          sv_ck_path;
+          sv_ck_every;
+          sv_fsync_every;
+          sv_segment_bytes;
+          sv_quiet;
+        })
+    $ expect_arg
+    $ algorithm_arg "Bootstrap algorithm for the initial batch solve."
+    $ ck_path_arg $ ck_every_arg $ fsync_every_arg $ segment_bytes_arg $ quiet_arg)
+
 let serve_cmd =
   let stdin_arg =
     let doc = "Read the event stream from stdin (pipe mode)." in
@@ -1791,40 +1686,23 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"SOCKET" ~doc)
   in
-  let expect_arg =
-    let doc =
-      "Refuse streams whose hello names a different scenario (the world recipe is \
-       otherwise adopted from the hello line)."
-    in
-    Arg.(value & opt (some string) None & info [ "expect" ] ~docv:"CONF" ~doc)
-  in
-  let algorithm_arg =
-    let doc = "Bootstrap algorithm for the initial batch solve." in
-    Arg.(value & opt string "GreZ-GreC" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-  in
   let reopt_every_arg =
     let doc = "Events between background re-optimizations (0 disables the periodic pass)." in
-    Arg.(value & opt int 512 & info [ "reopt-every" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt int default_serve_params.sv_reopt_every
+      & info [ "reopt-every" ] ~docv:"N" ~doc)
   in
   let reopt_moves_arg =
     let doc = "Zone-move budget per background re-optimization." in
-    Arg.(value & opt int 8 & info [ "reopt-moves" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt int default_serve_params.sv_reopt_moves
+      & info [ "reopt-moves" ] ~docv:"N" ~doc)
   in
   let max_inflight_arg =
     let doc = "Admission cap on live clients; joins beyond it are shed." in
     Arg.(value & opt (some int) None & info [ "max-inflight" ] ~docv:"N" ~doc)
-  in
-  let ck_path_arg =
-    let doc =
-      "Write crash-safe engine snapshots to $(docv) (atomic temp-file + rename). \
-       Always captured once at shutdown; combine with $(b,--checkpoint-every) for \
-       periodic captures. Resume with $(b,--resume) $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-  in
-  let ck_every_arg =
-    let doc = "Capture a snapshot every $(docv) events (requires $(b,--checkpoint))." in
-    Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"EVENTS" ~doc)
   in
   let resume_arg =
     let doc =
@@ -1840,10 +1718,6 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "latency-jsonl" ] ~docv:"FILE" ~doc)
   in
-  let quiet_arg =
-    let doc = "Do not echo responses (placement answers) to the output channel." in
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
-  in
   let wal_arg =
     let doc =
       "Append every accepted request line to a write-ahead log at $(docv) before \
@@ -1851,14 +1725,6 @@ let serve_cmd =
        (crash recovery), truncating any torn tail, then continues appending."
     in
     Arg.(value & opt (some string) None & info [ "wal" ] ~docv:"FILE" ~doc)
-  in
-  let fsync_every_arg =
-    let doc =
-      "fsync the WAL every $(docv) appended records (0 = only at shutdown). \
-       Batching trades machine-crash durability for throughput; process crashes \
-       (SIGKILL) lose nothing at any setting."
-    in
-    Arg.(value & opt int 32 & info [ "fsync-every" ] ~docv:"N" ~doc)
   in
   let follow_arg =
     let doc =
@@ -1869,18 +1735,6 @@ let serve_cmd =
        is how a standby joins a log whose head was garbage-collected."
     in
     Arg.(value & flag & info [ "follow" ] ~doc)
-  in
-  let segment_bytes_arg =
-    let doc =
-      "Rotate the WAL into numbered segment files ($(i,FILE).000001, ...) once \
-       the active one reaches $(docv) bytes; with $(b,--checkpoint) segments \
-       wholly covered by the latest snapshot are garbage-collected, bounding \
-       the log's disk footprint. Requires $(b,--wal)."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "wal-segment-bytes" ] ~docv:"BYTES" ~doc)
   in
   let backlog_arg =
     let doc = "listen(2) backlog for the daemon's socket." in
@@ -1929,28 +1783,21 @@ let serve_cmd =
       & opt (some float) None
       & info [ "max-events-per-sec" ] ~docv:"RATE" ~doc)
   in
-  let run obs sv_stdin sv_listen sv_expect sv_algorithm sv_reopt_every sv_reopt_moves
-      sv_max_inflight sv_ck_path sv_ck_every sv_resume sv_latency_jsonl sv_quiet
-      sv_wal sv_fsync_every sv_segment_bytes sv_follow sv_backlog sv_idle_timeout
+  let run obs daemon sv_stdin sv_listen sv_reopt_every sv_reopt_moves sv_max_inflight
+      sv_resume sv_latency_jsonl sv_wal sv_follow sv_backlog sv_idle_timeout
       sv_max_write_buffer sv_max_conns sv_max_events_per_sec =
     with_obs obs @@ fun () ->
     serve_main
       {
+        daemon with
         sv_stdin;
         sv_listen;
-        sv_expect;
-        sv_algorithm;
         sv_reopt_every;
         sv_reopt_moves;
         sv_max_inflight;
-        sv_ck_path;
-        sv_ck_every;
         sv_resume;
         sv_latency_jsonl;
-        sv_quiet;
         sv_wal;
-        sv_fsync_every;
-        sv_segment_bytes;
         sv_follow;
         sv_backlog;
         sv_idle_timeout;
@@ -1961,12 +1808,10 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ obs_term $ stdin_arg $ listen_arg $ expect_arg $ algorithm_arg
-      $ reopt_every_arg $ reopt_moves_arg $ max_inflight_arg $ ck_path_arg
-      $ ck_every_arg $ resume_arg $ latency_jsonl_arg $ quiet_arg $ wal_arg
-      $ fsync_every_arg $ segment_bytes_arg $ follow_arg $ backlog_arg
-      $ idle_timeout_arg $ max_write_buffer_arg $ max_conns_arg
-      $ max_events_per_sec_arg)
+      const run $ obs_term $ daemon_term $ stdin_arg $ listen_arg $ reopt_every_arg
+      $ reopt_moves_arg $ max_inflight_arg $ resume_arg $ latency_jsonl_arg $ wal_arg
+      $ follow_arg $ backlog_arg $ idle_timeout_arg $ max_write_buffer_arg
+      $ max_conns_arg $ max_events_per_sec_arg)
   in
   Cmd.v
     (Cmd.info "serve" ~exits
@@ -1999,8 +1844,26 @@ type supervise_params = {
   sp_max_crashes : int;
 }
 
-(* fork-without-exec: the children run [serve_main] directly, so the
-   supervisor must never have spawned Cap_par domains before forking *)
+(* Fork without exec: the child runs [f] and exits with its code (3 if
+   it raises, logged under [name]). The children run [serve_main]
+   directly, so the forking process must never have spawned Cap_par
+   domains. *)
+let fork_run ~name f =
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      let code =
+        try f ()
+        with e ->
+          Printf.eprintf "%s: %s\n%!" name (Printexc.to_string e);
+          3
+      in
+      flush stdout;
+      flush stderr;
+      Unix._exit code
+  | pid -> pid
+
 let supervise_main p =
   let write_pid pid =
     match p.sp_pid_file with
@@ -2012,53 +1875,27 @@ let supervise_main p =
         Sys.rename tmp path
   in
   let child_params role =
-    match role with
-    | Supervisor.Primary ->
-        {
-          p.sp_serve with
-          sv_stdin = false;
-          sv_listen = Some p.sp_socket;
-          sv_wal = Some p.sp_wal;
-          sv_follow = false;
-          (* a restart resumes from the latest checkpoint when there is
-             one; the WAL suffix replay covers the rest *)
-          sv_resume =
-            (match p.sp_serve.sv_ck_path with
-            | Some ck when Sys.file_exists ck -> Some ck
-            | _ -> None);
-        }
-    | Supervisor.Standby ->
-        {
-          p.sp_serve with
-          sv_stdin = false;
-          sv_listen = Some p.sp_socket;
-          sv_wal = Some p.sp_wal;
-          sv_follow = true;
-          (* a standby spawned after GC cannot replay the log from
-             record 0: bootstrap it from the checkpoint and tail from
-             there (and keep checkpointing after promotion) *)
-          sv_resume =
-            (match p.sp_serve.sv_ck_path with
-            | Some ck when Sys.file_exists ck -> Some ck
-            | _ -> None);
-        }
+    {
+      p.sp_serve with
+      sv_stdin = false;
+      sv_listen = Some p.sp_socket;
+      sv_wal = Some p.sp_wal;
+      sv_follow = role = Supervisor.Standby;
+      (* a restart resumes from the latest checkpoint when there is one;
+         the WAL suffix replay covers the rest. A standby spawned after
+         GC cannot replay the log from record 0: it bootstraps from the
+         checkpoint and tails from there (and keeps checkpointing after
+         promotion) *)
+      sv_resume =
+        (match p.sp_serve.sv_ck_path with
+        | Some ck when Sys.file_exists ck -> Some ck
+        | _ -> None);
+    }
   in
   let spawn role =
     let params = child_params role in
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        let code =
-          try serve_main params
-          with e ->
-            Printf.eprintf "serve (%s): %s\n%!" (Supervisor.role_name role)
-              (Printexc.to_string e);
-            3
-        in
-        flush stdout;
-        flush stderr;
-        Unix._exit code
+    let name = Printf.sprintf "serve (%s)" (Supervisor.role_name role) in
+    match fork_run ~name (fun () -> serve_main params) with
     | pid ->
         if role = Supervisor.Primary then write_pid pid;
         Ok pid
@@ -2147,40 +1984,8 @@ let supervise_cmd =
     let doc = "Crashes tolerated inside the window before the breaker opens." in
     Arg.(value & opt int 5 & info [ "max-crashes" ] ~docv:"N" ~doc)
   in
-  let expect_arg =
-    let doc = "Refuse streams whose hello names a different scenario." in
-    Arg.(value & opt (some string) None & info [ "expect" ] ~docv:"CONF" ~doc)
-  in
-  let algorithm_arg =
-    let doc = "Bootstrap algorithm for the initial batch solve." in
-    Arg.(value & opt string "GreZ-GreC" & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let ck_path_arg =
-    let doc = "Checkpoint file the primary writes and restarts resume from." in
-    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
-  in
-  let ck_every_arg =
-    let doc = "Capture a snapshot every $(docv) events (requires $(b,--checkpoint))." in
-    Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"EVENTS" ~doc)
-  in
-  let fsync_every_arg =
-    let doc = "WAL fsync batching, as for $(b,serve)." in
-    Arg.(value & opt int 32 & info [ "fsync-every" ] ~docv:"N" ~doc)
-  in
-  let segment_bytes_arg =
-    let doc = "WAL segment rotation threshold, as for $(b,serve)." in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "wal-segment-bytes" ] ~docv:"BYTES" ~doc)
-  in
-  let quiet_arg =
-    let doc = "Daemon does not echo responses." in
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc)
-  in
   let run obs socket wal standby pid_file backoff_base backoff_max crash_window
-      max_crashes expect algorithm ck_path ck_every fsync_every segment_bytes
-      quiet =
+      max_crashes sp_serve =
     with_obs obs @@ fun () ->
     if backoff_base < 0. || backoff_max < 0. then begin
       Printf.eprintf "supervise: backoff values must be >= 0\n";
@@ -2192,17 +1997,7 @@ let supervise_cmd =
     end;
     supervise_main
       {
-        sp_serve =
-          {
-            default_serve_params with
-            sv_expect = expect;
-            sv_algorithm = algorithm;
-            sv_ck_path = ck_path;
-            sv_ck_every = ck_every;
-            sv_fsync_every = fsync_every;
-            sv_segment_bytes = segment_bytes;
-            sv_quiet = quiet;
-          };
+        sp_serve;
         sp_socket = socket;
         sp_wal = wal;
         sp_standby = standby;
@@ -2217,8 +2012,7 @@ let supervise_cmd =
     Term.(
       const run $ obs_term $ socket_arg $ wal_arg $ standby_arg $ pid_file_arg
       $ backoff_base_arg $ backoff_max_arg $ crash_window_arg $ max_crashes_arg
-      $ expect_arg $ algorithm_arg $ ck_path_arg $ ck_every_arg $ fsync_every_arg
-      $ segment_bytes_arg $ quiet_arg)
+      $ daemon_term)
   in
   Cmd.v
     (Cmd.info "supervise" ~exits
@@ -2275,10 +2069,6 @@ let torture_cmd =
     in
     Arg.(value & flag & info [ "no-standby" ] ~doc)
   in
-  let fsync_every_arg =
-    let doc = "WAL fsync batching for the daemons under test." in
-    Arg.(value & opt int 32 & info [ "fsync-every" ] ~docv:"N" ~doc)
-  in
   let keep_arg =
     let doc = "Keep the work directory (WAL, reference stream, artifacts)." in
     Arg.(value & flag & info [ "keep" ] ~doc)
@@ -2293,17 +2083,6 @@ let torture_cmd =
        response stream is a byte-prefix of the uninterrupted run's."
     in
     Arg.(value & flag & info [ "disk-faults" ] ~doc)
-  in
-  let segment_bytes_arg =
-    let doc =
-      "WAL segment rotation threshold for the daemons under test (default in \
-       $(b,--disk-faults) mode: 4096, so rotation sits inside the tortured \
-       window)."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "wal-segment-bytes" ] ~docv:"BYTES" ~doc)
   in
   let net_faults_arg =
     let doc =
@@ -2334,7 +2113,7 @@ let torture_cmd =
     let doc = "Work directory (default: a fresh one under TMPDIR)." in
     Arg.(value & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
   in
-  let run obs config seed rate duration kills no_standby fsync_every keep dir
+  let run obs scenario seed rate duration kills no_standby fsync_every keep dir
       disk_faults segment_bytes net_faults net_clients net_adversaries =
     with_obs obs @@ fun () ->
     Cap_obs.Control.enable ();
@@ -2344,11 +2123,6 @@ let torture_cmd =
           Printf.eprintf "torture: %s\n%!" m;
           exit exit_usage)
         fmt
-    in
-    let scenario =
-      match scenario_of_string config with
-      | Ok s -> s
-      | Error (`Msg m) -> fail "%s" m
     in
     if kills < 0 then fail "--kills must be >= 0";
     if disk_faults && net_faults then
@@ -2372,6 +2146,7 @@ let torture_cmd =
     let wal = in_dir "daemon.wal" in
     let pid_file = in_dir "primary.pid" in
     let reference_file = in_dir "reference.txt" in
+    let stream_file = in_dir "stream.txt" in
     let notation = Scenario.notation scenario in
     (* --- the prepared event stream (hello/end stripped: the client
        frames its own) --- *)
@@ -2386,97 +2161,85 @@ let torture_cmd =
         | Proto.Event event -> lines := Proto.format_event event :: !lines)
     in
     let lines = List.rev !lines in
-    (* hello -> engine with the world + bootstrap assignment memoized:
-       in-process torture re-resolves the same hello on every recovery
-       (disk faults) or daemon pass (net faults), and Engine.create
-       copies its inputs, so each resolve still gets a fresh engine *)
-    let memo_resolve () =
-      let algorithm =
-        match Cap_core.Two_phase.find "GreZ-GreC" with
-        | Some a -> a
-        | None -> fail "bootstrap algorithm missing"
-      in
-      let engine_config =
-        { Engine.max_inflight = None; reopt_every = 512; reopt_moves = 8 }
-      in
-      let cache = Hashtbl.create 4 in
-      fun ~scenario ~seed ->
-        let key = (scenario, seed) in
-        let materialize = function
-          | Error m -> Error m
-          | Ok (world, assignment) ->
-              Ok (Engine.create ~world ~assignment engine_config)
-        in
-        match Hashtbl.find_opt cache key with
-        | Some r -> materialize r
-        | None ->
-            let r =
-              match Validate.scenario_notation scenario with
-              | Error issue ->
-                  Error
-                    (Printf.sprintf "invalid scenario in hello: %s"
-                       (Validate.describe issue))
-              | Ok parsed ->
-                  let rng = Rng.create ~seed in
-                  let world = World.generate rng parsed in
-                  let assignment =
-                    Cap_core.Two_phase.run algorithm (Rng.split rng) world
-                  in
-                  Ok (world, assignment)
-            in
-            Hashtbl.add cache key r;
-            materialize r
-    in
     (* keep the exact request stream on disk so a FAIL is replayable
        from the artifacts alone *)
-    let write_stream_artifact () =
-      Out_channel.with_open_bin (in_dir "stream.txt") (fun out ->
-          output_string out (Proto.format_hello ~scenario:notation ~seed);
-          output_char out '\n';
+    let write_stream_artifact lines =
+      Out_channel.with_open_bin stream_file (fun out ->
           List.iter
             (fun l ->
               output_string out l;
               output_char out '\n')
-            lines)
+            (Proto.format_hello ~scenario:notation ~seed :: lines))
+    in
+    (* hello -> engine with the world + bootstrap assignment memoized:
+       in-process torture re-resolves the same hello on every recovery
+       (disk faults) or daemon pass (net faults), and Engine.create
+       copies its inputs, so each resolve still gets a fresh engine *)
+    let resolve =
+      let cache = Hashtbl.create 4 in
+      fun ~scenario ~seed ->
+        let bootstrap =
+          match Hashtbl.find_opt cache (scenario, seed) with
+          | Some r -> r
+          | None ->
+              let r =
+                serve_bootstrap ~algorithm:default_serve_params.sv_algorithm ~scenario
+                  ~seed
+              in
+              Hashtbl.add cache (scenario, seed) r;
+              r
+        in
+        let* world, assignment = bootstrap in
+        Ok (Engine.create ~world ~assignment (engine_config default_serve_params))
+    in
+    (* every mode ends here: PASS drops the work dir unless --keep, FAIL
+       always keeps it *)
+    let finish = function
+      | Ok (summary, details) ->
+          Printf.eprintf "torture: PASS — %s\n%!" summary;
+          List.iter (Printf.eprintf "torture: %s\n%!") details;
+          if not keep then rm_rf dir
+          else Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
+          0
+      | Error failures ->
+          List.iter (Printf.eprintf "torture: FAIL — %s\n%!") failures;
+          Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
+          exit_violation
     in
     if disk_faults then begin
-      write_stream_artifact ();
+      write_stream_artifact lines;
       (* in-process every-prefix torture over an in-memory filesystem —
          no forks, no real disk; the heavy lifting is {!Disk_torture} *)
-      let resolve = memo_resolve () in
       let hello = Proto.format_hello ~scenario:notation ~seed in
       let segment_bytes = Option.value segment_bytes ~default:4096 in
       Printf.eprintf
         "torture: disk faults — %s seed %d, %d lines, %d-byte segments\n%!"
         notation seed (List.length lines + 1) segment_bytes;
-      match
-        Disk_torture.run
-          ~log:(fun m -> Printf.eprintf "torture: %s\n%!" m)
-          ~segment_bytes ~resolve ~lines:(hello :: lines) ~seed ()
-      with
-      | Ok r ->
-          Printf.eprintf
-            "torture: PASS — every recovery a byte-prefix of the reference \
-             (%d journal prefixes, %d mid-write cuts, %d fault runs: %d \
-             degraded, %d fsync-fatal, %d power cuts)\n%!"
-            r.Disk_torture.prefixes_checked r.Disk_torture.cuts_checked
-            r.Disk_torture.fault_runs r.Disk_torture.degraded_runs
-            r.Disk_torture.fsync_fatal r.Disk_torture.power_cut_runs;
-          if not keep then rm_rf dir
-          else Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
-          0
-      | Error m ->
-          Printf.eprintf "torture: FAIL — %s\n%!" m;
-          exit_violation
+      finish
+        (match
+           Disk_torture.run
+             ~log:(fun m -> Printf.eprintf "torture: %s\n%!" m)
+             ~segment_bytes ~resolve ~lines:(hello :: lines) ~seed ()
+         with
+        | Ok r ->
+            Ok
+              ( Printf.sprintf
+                  "every recovery a byte-prefix of the reference (%d journal \
+                   prefixes, %d mid-write cuts, %d fault runs: %d degraded, %d \
+                   fsync-fatal, %d power cuts)"
+                  r.Disk_torture.prefixes_checked r.Disk_torture.cuts_checked
+                  r.Disk_torture.fault_runs r.Disk_torture.degraded_runs
+                  r.Disk_torture.fsync_fatal r.Disk_torture.power_cut_runs,
+                [] )
+        | Error m -> Error [ m ])
     end
     else if net_faults then begin
       if net_clients < 1 then fail "--net-clients must be >= 1";
       if net_adversaries < 0 then fail "--net-adversaries must be >= 0";
-      write_stream_artifact ();
+      write_stream_artifact lines;
       (* in-process adversarial-network torture over the Net.Sim
          fabric — no forks, no real sockets; the heavy lifting is
          {!Net_torture} *)
-      let resolve = memo_resolve () in
       Printf.eprintf
         "torture: net faults — %s seed %d, %d lines across %d client(s), %d \
          adversarie(s)\n%!"
@@ -2496,49 +2259,44 @@ let torture_cmd =
       (* always drop the metrics registry next to the stream: on FAIL
          the pair is the replayable CI artifact *)
       Cap_obs.Jsonl.write_metrics (in_dir "net-metrics.jsonl");
-      match result with
-      | Ok r ->
-          let evictions =
-            r.Net_torture.evictions
-            |> List.map (fun (e, n) ->
-                   Printf.sprintf "%s=%d" (Daemon_net.eviction_to_string e) n)
-            |> String.concat " "
-          in
-          let rate_of wall =
-            if wall > 0. then float_of_int r.Net_torture.events /. wall else 0.
-          in
-          let a2r = Daemon_net.accept_to_response_histogram () in
-          let q pct =
-            let v = Cap_obs.Metrics.Histogram.quantile a2r pct in
-            if Float.is_finite v then Printf.sprintf "%.0f" (v *. 1e6) else "-"
-          in
-          Printf.eprintf
-            "torture: PASS — well-behaved streams byte-identical under \
-             adversarial load (%d events, %d numbered responses, %d client \
-             bytes; evictions %s, %d busy; max backend wait %.3fs and max read \
-             latency %.3fs within the %.3fs deadline)\n%!"
-            r.Net_torture.events r.Net_torture.responses
-            r.Net_torture.client_bytes evictions r.Net_torture.busy_rejected
-            r.Net_torture.max_wait_requested r.Net_torture.max_read_latency
-            r.Net_torture.idle_timeout;
-          Printf.eprintf
-            "torture: reference %.0f events/s (%.3fs), adversarial %.0f \
-             events/s (%.3fs), accept-to-response p50=%sus p99=%sus\n%!"
-            (rate_of r.Net_torture.reference_wall_s)
-            r.Net_torture.reference_wall_s
-            (rate_of r.Net_torture.adversarial_wall_s)
-            r.Net_torture.adversarial_wall_s (q 0.5) (q 0.99);
-          List.iter
-            (fun (name, reason) ->
-              Printf.eprintf "torture:   %s closed %s\n%!" name reason)
-            r.Net_torture.adversary_closes;
-          if not keep then rm_rf dir
-          else Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
-          0
-      | Error m ->
-          Printf.eprintf "torture: FAIL — %s\n%!" m;
-          Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
-          exit_violation
+      finish
+        (match result with
+        | Ok r ->
+            let evictions =
+              r.Net_torture.evictions
+              |> List.map (fun (e, n) ->
+                     Printf.sprintf "%s=%d" (Daemon_net.eviction_to_string e) n)
+              |> String.concat " "
+            in
+            let rate_of wall =
+              if wall > 0. then float_of_int r.Net_torture.events /. wall else 0.
+            in
+            let a2r = Daemon_net.accept_to_response_histogram () in
+            let q pct =
+              let v = Cap_obs.Metrics.Histogram.quantile a2r pct in
+              if Float.is_finite v then Printf.sprintf "%.0f" (v *. 1e6) else "-"
+            in
+            Ok
+              ( Printf.sprintf
+                  "well-behaved streams byte-identical under adversarial load (%d \
+                   events, %d numbered responses, %d client bytes; evictions %s, %d \
+                   busy; max backend wait %.3fs and max read latency %.3fs within \
+                   the %.3fs deadline)"
+                  r.Net_torture.events r.Net_torture.responses
+                  r.Net_torture.client_bytes evictions r.Net_torture.busy_rejected
+                  r.Net_torture.max_wait_requested r.Net_torture.max_read_latency
+                  r.Net_torture.idle_timeout,
+                Printf.sprintf
+                  "reference %.0f events/s (%.3fs), adversarial %.0f events/s \
+                   (%.3fs), accept-to-response p50=%sus p99=%sus"
+                  (rate_of r.Net_torture.reference_wall_s)
+                  r.Net_torture.reference_wall_s
+                  (rate_of r.Net_torture.adversarial_wall_s)
+                  r.Net_torture.adversarial_wall_s (q 0.5) (q 0.99)
+                :: List.map
+                     (fun (name, reason) -> Printf.sprintf "  %s closed %s" name reason)
+                     r.Net_torture.adversary_closes )
+        | Error m -> Error [ m ])
     end
     else begin
     Printf.eprintf "torture: %s seed %d — %d events (%d lines), %d kill(s), %s\n%!"
@@ -2547,17 +2305,7 @@ let torture_cmd =
     (* --- reference run: the uninterrupted response stream. Forked so
        the solver's Cap_par domains never exist in this process, which
        must keep forking cleanly afterwards. --- *)
-    let stream_file = in_dir "stream.txt" in
-    Out_channel.with_open_bin stream_file (fun out ->
-        output_string out (Proto.format_hello ~scenario:notation ~seed);
-        output_char out '\n';
-        List.iter
-          (fun l ->
-            output_string out l;
-            output_char out '\n')
-          lines;
-        output_string out Proto.format_end;
-        output_char out '\n');
+    write_stream_artifact (lines @ [ Proto.format_end ]);
     let reference_params =
       {
         default_serve_params with
@@ -2565,26 +2313,13 @@ let torture_cmd =
         sv_fsync_every = fsync_every;
       }
     in
-    flush stdout;
-    flush stderr;
     let ref_pid =
-      match Unix.fork () with
-      | 0 ->
-          let code =
-            try
-              let input = open_in_bin stream_file in
-              let output = open_out_bin reference_file in
-              Unix.dup2 (Unix.descr_of_in_channel input) Unix.stdin;
-              Unix.dup2 (Unix.descr_of_out_channel output) Unix.stdout;
-              serve_main reference_params
-            with e ->
-              Printf.eprintf "torture reference: %s\n%!" (Printexc.to_string e);
-              3
-          in
-          flush stdout;
-          flush stderr;
-          Unix._exit code
-      | pid -> pid
+      fork_run ~name:"torture reference" (fun () ->
+          let input = open_in_bin stream_file in
+          let output = open_out_bin reference_file in
+          Unix.dup2 (Unix.descr_of_in_channel input) Unix.stdin;
+          Unix.dup2 (Unix.descr_of_out_channel output) Unix.stdout;
+          serve_main reference_params)
     in
     (match Unix.waitpid [] ref_pid with
     | _, Unix.WEXITED 0 -> ()
@@ -2623,21 +2358,8 @@ let torture_cmd =
         sp_max_crashes = kills + 3;
       }
     in
-    flush stdout;
-    flush stderr;
     let sup_pid =
-      match Unix.fork () with
-      | 0 ->
-          let code =
-            try supervise_main supervise_params
-            with e ->
-              Printf.eprintf "torture supervisor: %s\n%!" (Printexc.to_string e);
-              3
-          in
-          flush stdout;
-          flush stderr;
-          Unix._exit code
-      | pid -> pid
+      fork_run ~name:"torture supervisor" (fun () -> supervise_main supervise_params)
     in
     (* --- the client, with a SIGKILL schedule riding on received lines --- *)
     let total = List.length reference in
@@ -2709,97 +2431,90 @@ let torture_cmd =
       (try Unix.kill sup_pid Sys.sigkill with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] sup_pid)
     in
-    match outcome with
-    | Error m ->
-        cleanup_failed ();
-        Printf.eprintf "torture: client gave up: %s (artifacts in %s)\n%!" m dir;
-        exit_violation
-    | Ok outcome ->
-        (* The supervisor exits once its daemon drains the [end]; a
-           daemon that never does would wedge the harness, so the wait
-           is bounded — on timeout everything is killed and the run is
-           reported as a failure instead of hanging. *)
-        let sup_status =
-          let deadline = Unix.gettimeofday () +. 30. in
-          let rec wait () =
-            match Unix.waitpid [ Unix.WNOHANG ] sup_pid with
-            | 0, _ ->
-                if Unix.gettimeofday () > deadline then begin
-                  Printf.eprintf
-                    "torture: supervisor still alive 30s after the client \
-                     finished; killing it\n%!";
-                  cleanup_failed ();
-                  -1
-                end
-                else begin
-                  Unix.sleepf 0.05;
-                  wait ()
-                end
-            | _, Unix.WEXITED c -> c
-            | _, _ -> -1
+    finish
+      (match outcome with
+      | Error m ->
+          cleanup_failed ();
+          Error [ "client gave up: " ^ m ]
+      | Ok outcome ->
+          (* The supervisor exits once its daemon drains the [end]; a
+             daemon that never does would wedge the harness, so the wait
+             is bounded — on timeout everything is killed and the run is
+             reported as a failure instead of hanging. *)
+          let sup_status =
+            let deadline = Unix.gettimeofday () +. 30. in
+            let rec wait () =
+              match Unix.waitpid [ Unix.WNOHANG ] sup_pid with
+              | 0, _ ->
+                  if Unix.gettimeofday () > deadline then begin
+                    Printf.eprintf
+                      "torture: supervisor still alive 30s after the client \
+                       finished; killing it\n%!";
+                    cleanup_failed ();
+                    -1
+                  end
+                  else begin
+                    Unix.sleepf 0.05;
+                    wait ()
+                  end
+              | _, Unix.WEXITED c -> c
+              | _, _ -> -1
+            in
+            wait ()
           in
-          wait ()
-        in
-        Cap_obs.Jsonl.write_metrics (in_dir "client-metrics.jsonl");
-        let recovery = Client.recovery_histogram () in
-        let q p =
-          let v = Cap_obs.Metrics.Histogram.quantile recovery p in
-          if Float.is_finite v then Printf.sprintf "%.0fms" (v *. 1e3) else "-"
-        in
-        (* --- the proof: byte-for-byte equality with the unbroken run --- *)
-        let rec first_divergence i ref_lines got_lines =
-          match ref_lines, got_lines with
-          | [], [] -> None
-          | r :: _, [] -> Some (i, r, "<missing>")
-          | [], g :: _ -> Some (i, "<end of reference>", g)
-          | r :: rt, g :: gt ->
-              if String.equal r g then first_divergence (i + 1) rt gt
-              else Some (i, r, g)
-        in
-        let divergence = first_divergence 0 reference outcome.Client.responses in
-        Printf.eprintf
-          "torture: %d/%d responses, %d reconnect(s), %d kill(s) fired, %d err \
-           line(s), supervisor exited %d, recovery p50=%s p95=%s max=%s\n%!"
-          (List.length outcome.Client.responses)
-          total outcome.Client.reconnects !fired
-          (List.length outcome.Client.errors)
-          sup_status (q 0.5) (q 0.95) (q 1.0);
-        let ok =
-          divergence = None && !fired = kills
-          && outcome.Client.errors = []
-          && sup_status = 0
-        in
-        if ok then begin
+          Cap_obs.Jsonl.write_metrics (in_dir "client-metrics.jsonl");
+          let recovery = Client.recovery_histogram () in
+          let q p =
+            let v = Cap_obs.Metrics.Histogram.quantile recovery p in
+            if Float.is_finite v then Printf.sprintf "%.0fms" (v *. 1e3) else "-"
+          in
+          (* --- the proof: byte-for-byte equality with the unbroken run --- *)
+          let rec first_divergence i ref_lines got_lines =
+            match ref_lines, got_lines with
+            | [], [] -> None
+            | r :: _, [] -> Some (i, r, "<missing>")
+            | [], g :: _ -> Some (i, "<end of reference>", g)
+            | r :: rt, g :: gt ->
+                if String.equal r g then first_divergence (i + 1) rt gt
+                else Some (i, r, g)
+          in
+          let divergence = first_divergence 0 reference outcome.Client.responses in
           Printf.eprintf
-            "torture: PASS — client stream is byte-identical to the \
-             uninterrupted run\n%!";
-          if not keep then rm_rf dir
-          else Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
-          0
-        end
-        else begin
-          (match divergence with
-          | Some (i, want, got) ->
-              Printf.eprintf
-                "torture: FAIL — stream diverges at response %d:\n  reference: \
-                 %s\n  observed:  %s\n"
-                i want got
-          | None -> ());
-          if !fired <> kills then
-            Printf.eprintf "torture: FAIL — only %d/%d kills fired\n" !fired kills;
-          if outcome.Client.errors <> [] then
-            Printf.eprintf "torture: FAIL — daemon answered err: %s\n"
-              (String.concat "; " outcome.Client.errors);
-          if sup_status <> 0 then
-            Printf.eprintf "torture: FAIL — supervisor exited %d\n" sup_status;
-          Printf.eprintf "torture: artifacts kept in %s\n%!" dir;
-          exit_violation
-        end
+            "torture: %d/%d responses, %d reconnect(s), %d kill(s) fired, %d err \
+             line(s), supervisor exited %d, recovery p50=%s p95=%s max=%s\n%!"
+            (List.length outcome.Client.responses)
+            total outcome.Client.reconnects !fired
+            (List.length outcome.Client.errors)
+            sup_status (q 0.5) (q 0.95) (q 1.0);
+          let failures =
+            List.filter_map Fun.id
+              [
+                Option.map
+                  (fun (i, want, got) ->
+                    Printf.sprintf
+                      "stream diverges at response %d:\n  reference: %s\n  observed:  %s"
+                      i want got)
+                  divergence;
+                (if !fired <> kills then
+                   Some (Printf.sprintf "only %d/%d kills fired" !fired kills)
+                 else None);
+                (if outcome.Client.errors <> [] then
+                   Some
+                     ("daemon answered err: " ^ String.concat "; " outcome.Client.errors)
+                 else None);
+                (if sup_status <> 0 then
+                   Some (Printf.sprintf "supervisor exited %d" sup_status)
+                 else None);
+              ]
+          in
+          if failures = [] then
+            Ok ("client stream is byte-identical to the uninterrupted run", [])
+          else Error failures)
     end
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ rate_arg $ duration_arg
+      const run $ obs_term $ scenario_arg $ seed_arg $ rate_arg $ duration_arg
       $ kills_arg $ no_standby_arg $ fsync_every_arg $ keep_arg $ dir_arg
       $ disk_faults_arg $ segment_bytes_arg $ net_faults_arg $ net_clients_arg
       $ net_adversaries_arg)
@@ -2927,7 +2642,9 @@ let validate_cmd =
   in
   let term =
     Term.(
-      const run $ obs_term $ config_arg $ seed_arg $ trace_csv_arg $ snapshot_arg
+      const run $ obs_term
+      $ Arg.(value & opt string default_config & config_info)
+      $ seed_arg $ trace_csv_arg $ snapshot_arg
       $ wal_arg)
   in
   Cmd.v
@@ -2955,9 +2672,17 @@ let () =
      backtrace. cmdliner's own CLI parse failures (cli_error = 124) are
      folded into the same convention. *)
   let code =
-    try Cmd.eval' ~catch:false group with
+    (* a wide margin keeps each parse diagnostic on one line *)
+    let err = Format.formatter_of_out_channel stderr in
+    Format.pp_set_margin err 10_000;
+    try Cmd.eval' ~catch:false ~err group with
     | Invalid_argument m | Failure m | Sys_error m ->
         Printf.eprintf "capsim: %s\n" m;
+        exit_usage
+    | Unix.Unix_error (e, fn, arg) ->
+        Printf.eprintf "capsim: %s%s: %s\n" fn
+          (if arg = "" then "" else " " ^ arg)
+          (Unix.error_message e);
         exit_usage
   in
   exit (if code = Cmd.Exit.cli_error then exit_usage else code)

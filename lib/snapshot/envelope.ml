@@ -24,7 +24,7 @@ let describe = function
   | Invalid_payload { path; reason } ->
       Printf.sprintf "%s: undecodable snapshot payload (%s)" path reason
 
-let format_version = 4
+let format_version = 5
 let magic = "CAPSNAP\n"
 
 (* layout: magic (8) | version i32 | kind length i32 | kind bytes

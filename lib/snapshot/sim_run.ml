@@ -8,6 +8,7 @@ type spec = {
   scenario : string;
   seed : int;
   algorithm : string;
+  buckets : int option;
   duration : float;
   policy : Cap_sim.Policy.t;
   roam : bool;
@@ -24,6 +25,39 @@ type t = {
 }
 
 let kind = "dve-sim-run"
+
+(* The diurnal split is the only RNG draw here, and only when diurnal
+   modulation is on: callers run it after world generation (and after
+   chaos's fault generators), exactly where the original run drew it. *)
+let config spec rng world =
+  let movement =
+    if spec.roam then
+      Cap_sim.Dve_sim.Roam (Cap_model.Zone_map.square_for ~zones:(World.zone_count world))
+    else Cap_sim.Dve_sim.Teleport
+  in
+  let diurnal =
+    Option.map
+      (fun amplitude ->
+        Cap_sim.Diurnal.random (Cap_util.Rng.split rng) ~regions:world.World.regions
+          ~amplitude ())
+      spec.diurnal_amplitude
+  in
+  {
+    Cap_sim.Dve_sim.default_config with
+    duration = spec.duration;
+    policy = spec.policy;
+    movement;
+    flash_crowd = spec.flash;
+    diurnal;
+    faults = spec.faults;
+    failover_moves = spec.failover_moves;
+  }
+
+let solver spec =
+  match Cap_core.Two_phase.find spec.algorithm, spec.buckets with
+  | None, _ -> Error (Printf.sprintf "algorithm %s is not known to this binary" spec.algorithm)
+  | Some algorithm, None -> Ok algorithm
+  | Some _, Some buckets -> Ok (Cap_core.Agg_solve.two_phase ~buckets ())
 
 let fingerprint world =
   let buf = Buffer.create 4096 in

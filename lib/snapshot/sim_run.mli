@@ -17,6 +17,9 @@ type spec = {
   scenario : string;  (** notation exactly as given on the command line *)
   seed : int;
   algorithm : string;
+  buckets : int option;
+      (** [Some n]: solve over client aggregates with [n] coordinate
+          clusters per zone ([sim --aggregate --buckets n]) *)
   duration : float;
   policy : Cap_sim.Policy.t;
   roam : bool;
@@ -35,6 +38,17 @@ type t = {
 
 val kind : string
 (** Envelope payload-kind tag for sim-run snapshots. *)
+
+val config : spec -> Cap_util.Rng.t -> Cap_model.World.t -> Cap_sim.Dve_sim.config
+(** The simulator configuration the spec describes, for the world it
+    regenerates. Splits [rng] once, for the diurnal model, iff
+    [diurnal_amplitude] is set — so it must be called at the same point
+    of the setup in the original run and on resume. *)
+
+val solver : spec -> (Cap_core.Two_phase.t, string) result
+(** The algorithm the run solves with: the named one, or its aggregated
+    form when [buckets] is set. [Error] names an algorithm this binary
+    does not know. *)
 
 val fingerprint : Cap_model.World.t -> string
 (** Content hash of a generated world: scenario notation, server

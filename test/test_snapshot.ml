@@ -264,6 +264,7 @@ let spec_for seed world =
     scenario = scenario_notation;
     seed;
     algorithm = "GreZ-GreC";
+    buckets = None;
     duration = sim_config.Dve_sim.duration;
     policy = sim_config.Dve_sim.policy;
     roam = false;
@@ -317,6 +318,109 @@ let test_fingerprint_sensitivity () =
     "one-ulp capacity change changes the fingerprint" true
     (Sim_run.fingerprint w1 <> Sim_run.fingerprint w)
 
+(* ------------------------------------------------------------------ *)
+(* the CLI's path: config and solver derived from the spec              *)
+
+let spec_of ?(command = Sim_run.Sim) ?buckets ?(roam = false) ?flash ?diurnal_amplitude
+    ?(faults = []) seed =
+  {
+    Sim_run.command;
+    scenario = scenario_notation;
+    seed;
+    algorithm = "GreZ-GreC";
+    buckets;
+    duration = 300.;
+    policy = Policy.Periodic 60.;
+    roam;
+    flash;
+    diurnal_amplitude;
+    faults;
+    failover_moves = 8;
+    world_fingerprint = Sim_run.fingerprint (make_world seed);
+  }
+
+let solver spec =
+  match Sim_run.solver spec with Ok a -> a | Error m -> Alcotest.fail m
+
+(* As capsim sim/chaos set a run up: seeded RNG, world, then the
+   spec's config (which may draw the diurnal model from the RNG). *)
+let run_spec ?checkpoint ~algorithm spec =
+  let rng = Rng.create ~seed:spec.Sim_run.seed in
+  let world = make_world spec.Sim_run.seed in
+  Dve_sim.run ?checkpoint rng (Sim_run.config spec rng world) ~world ~algorithm
+
+(* Checkpoint the run, save + load every checkpoint, and resume it as
+   capsim resume does: the config and solver come from the loaded spec. *)
+let check_spec_resume spec =
+  let captured = ref [] in
+  let hook =
+    {
+      Dve_sim.every = Some 100.;
+      request = (fun () -> false);
+      write = (fun ~reason:_ ck -> captured := ck :: !captured);
+    }
+  in
+  let reference = run_spec ~checkpoint:hook ~algorithm:(solver spec) spec in
+  Alcotest.(check bool) "captured checkpoints" true (List.length !captured >= 2);
+  List.iter
+    (fun ck ->
+      with_temp_file @@ fun path ->
+      (match Sim_run.save ~path { Sim_run.spec; state = ck } with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "save failed: %s" (Envelope.describe e));
+      match Sim_run.load ~path with
+      | Error e -> Alcotest.failf "load failed: %s" (Envelope.describe e)
+      | Ok { Sim_run.spec = loaded; state } ->
+          Alcotest.(check bool) "spec preserved" true (loaded = spec);
+          let rng = Rng.create ~seed:loaded.Sim_run.seed in
+          let world = make_world loaded.Sim_run.seed in
+          let resumed =
+            Dve_sim.resume (Sim_run.config loaded rng world) ~world
+              ~algorithm:(solver loaded) state
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "trace identical from t=%.0f" (Dve_sim.checkpoint_time ck))
+            true
+            (Trace.points resumed.Dve_sim.trace = Trace.points reference.Dve_sim.trace))
+    (List.rev !captured);
+  reference
+
+let test_spec_resume_sim () =
+  ignore
+    (check_spec_resume
+       (spec_of ~roam:true
+          ~flash:{ Dve_sim.at = 130.; fraction = 0.5; target_zone = None }
+          ~diurnal_amplitude:0.5 5))
+
+let test_spec_resume_chaos () =
+  ignore
+    (check_spec_resume
+       (spec_of ~command:Sim_run.Chaos ~faults:chaos_config.Dve_sim.faults 6))
+
+let test_spec_resume_aggregated () =
+  let spec = spec_of ~buckets:1 7 in
+  let reference = check_spec_resume spec in
+  (* not vacuous: the per-client solver would give a different trace *)
+  let exact = run_spec ~algorithm spec in
+  Alcotest.(check bool)
+    "aggregated and per-client traces differ" false
+    (Trace.points exact.Dve_sim.trace = Trace.points reference.Dve_sim.trace)
+
+let test_old_version_refused () =
+  with_temp_file @@ fun path ->
+  let _, checkpoints = run_with_checkpoints sim_config 1 in
+  let snapshot = { Sim_run.spec = spec_of 1; state = List.hd checkpoints } in
+  ignore (Sim_run.save ~path snapshot);
+  (* the version is the big-endian int32 right after the 8-byte magic *)
+  let raw = Bytes.of_string (read_file path) in
+  Bytes.set_int32_be raw 8 4l;
+  write_file path (Bytes.to_string raw);
+  match Sim_run.load ~path with
+  | Error (Envelope.Unsupported_version { found = 4; expected; _ }) ->
+      Alcotest.(check int) "expects the current version" Envelope.format_version expected
+  | Ok _ -> Alcotest.fail "read a version-4 snapshot at the current payload type"
+  | Error e -> Alcotest.failf "unexpected error: %s" (Envelope.describe e)
+
 let tests =
   [
     ( "snapshot/envelope",
@@ -330,6 +434,7 @@ let tests =
         case "missing file" test_envelope_missing_file;
         case "atomic write keeps the previous snapshot" test_envelope_atomic_write;
         case "no tmp left behind" test_envelope_no_tmp_left_behind;
+        case "version 4 refused" test_old_version_refused;
       ] );
     ( "snapshot/resume",
       [
@@ -340,5 +445,8 @@ let tests =
         case "resume rejects the wrong world" test_resume_world_mismatch;
         case "save/load roundtrip" test_sim_run_roundtrip;
         case "world fingerprint sensitivity" test_fingerprint_sensitivity;
+        case "spec config: sim with roam, flash and diurnal" test_spec_resume_sim;
+        case "spec config: chaos with faults" test_spec_resume_chaos;
+        case "spec config: aggregated sim" test_spec_resume_aggregated;
       ] );
   ]
