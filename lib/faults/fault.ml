@@ -211,3 +211,7 @@ let partition ~servers ~groups ~at ?heal_after () =
 
 let merge schedules =
   List.stable_sort (fun a b -> compare a.at b.at) (List.concat schedules)
+
+let invariant_violations_total =
+  Cap_obs.Metrics.Counter.create "faults_invariant_violations_total"
+    ~help:"Post-event invariant violations detected during chaos runs"

@@ -110,3 +110,9 @@ val partition :
 
 val merge : schedule list -> schedule
 (** Interleave schedules in time order (stable). *)
+
+val invariant_violations_total : Cap_obs.Metrics.Counter.t
+(** [faults_invariant_violations_total]: post-event invariant
+    violations the simulator finds while injecting faults. Registered
+    here, with the fault schedules, so that it keeps its place in
+    metric exports. *)

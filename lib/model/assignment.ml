@@ -72,7 +72,7 @@ let capacity_epsilon = 1e-6
 
 let over_capacity load capacity = load > capacity *. (1. +. capacity_epsilon)
 
-let violations t world =
+let violations ?health ?(capacity = true) t world =
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let m = World.server_count world in
@@ -84,29 +84,43 @@ let violations t world =
     add "contact_of_client has %d entries for %d clients"
       (Array.length t.contact_of_client)
       clients;
+  (match health with
+  | Some h when Health.server_count h <> m ->
+      add "health mask covers %d servers, world has %d" (Health.server_count h) m
+  | Some _ | None -> ());
+  let dead s = match health with Some h -> not (Health.is_alive h s) | None -> false in
   if !problems = [] then begin
     Array.iteri
       (fun z s ->
-        if s <> unassigned && (s < 0 || s >= m) then
-          add "zone %d assigned to invalid server %d" z s)
+        if s <> unassigned then
+          if s < 0 || s >= m then add "zone %d assigned to invalid server %d" z s
+          else if dead s then add "zone %d targets dead server %d" z s)
       t.target_of_zone;
     Array.iteri
       (fun c s ->
-        if s <> unassigned && (s < 0 || s >= m) then
-          add "client %d assigned to invalid server %d" c s)
+        if s <> unassigned then
+          if s < 0 || s >= m then add "client %d assigned to invalid server %d" c s
+          else if dead s then add "client %d contacts dead server %d" c s)
       t.contact_of_client
   end;
   if !problems = [] then
-    (* the unassigned sentinel is only legal on a client whose zone is
-       itself unassigned (and vice versa) *)
+    (* The unassigned sentinel is only legal on a client whose zone is
+       itself unassigned (and vice versa). Under a health mask, [world]
+       is the health-applied world, so a contact that cannot reach its
+       zone's target sits across a backbone partition. *)
     Array.iteri
       (fun c contact ->
         let target = t.target_of_zone.(world.World.client_zones.(c)) in
         if (contact = unassigned) <> (target = unassigned) then
-          add "client %d contact %d inconsistent with its zone's target %d" c contact
-            target)
+          add "client %d contact %d inconsistent with its zone's target %d" c contact target
+        else if
+          Option.is_some health && contact <> unassigned
+          && not (World.servers_reachable world contact target)
+        then
+          add "client %d contacts server %d, which cannot reach target %d (partition)" c
+            contact target)
       t.contact_of_client;
-  if !problems = [] then
+  if !problems = [] && capacity then
     Array.iteri
       (fun s load ->
         if over_capacity load world.World.capacities.(s) then

@@ -48,10 +48,18 @@ val server_loads : t -> World.t -> float array
 val utilization : t -> World.t -> float
 (** Total load divided by total capacity (the paper's R metric). *)
 
-val violations : t -> World.t -> string list
-(** Human-readable list of structural or capacity violations: empty
-    for a valid assignment. Capacity checks use a small relative
-    epsilon. *)
+val violations : ?health:Health.t -> ?capacity:bool -> t -> World.t -> string list
+(** Human-readable list of violations, empty for a valid assignment:
+    the one statement of the assignment invariants. Always checked:
+    array widths, server ids in range, and a client unassigned exactly
+    when its zone is. With [health] (and [world] the health-applied
+    world), also: the mask covers every server, no zone targets and no
+    client contacts a dead server, and no contact sits across a
+    backbone partition from its zone's target. With [capacity] (the
+    default), no server's load exceeds its capacity beyond a small
+    relative epsilon; the simulator turns it off, because under churn
+    the population can outgrow the provisioned total, which is a QoS
+    problem rather than a bug. *)
 
 val is_valid : t -> World.t -> bool
 

@@ -503,28 +503,8 @@ let self_check t =
       if Float.abs (load -. tracked) > 1e-6 *. scale then
         add "server %d: tracked load %.3f, recomputed %.3f" s tracked load)
     loads;
-  (* structural and capacity validity *)
-  List.iter (fun v -> add "assignment: %s" v) (Assignment.violations a world);
-  (* liveness and reachability of every placement *)
-  Array.iteri
-    (fun z target ->
-      if target <> Assignment.unassigned && not (Health.is_alive t.health target) then
-        add "zone %d targeted at dead server %d" z target)
-    t.targets;
-  Array.iteri
-    (fun i id ->
-      let contact = t.contact.(id) in
-      let target = t.targets.(t.zones.(id)) in
-      if contact <> Assignment.unassigned then begin
-        if not (Health.is_alive t.health contact) then
-          add "client %d contacts dead server %d" id contact;
-        if
-          target <> Assignment.unassigned
-          && not (World.servers_reachable world contact target)
-        then add "client %d contact %d cannot reach target %d" id contact target
-      end;
-      ignore i)
-    slots;
+  (* structural, liveness, partition and capacity validity *)
+  List.iter (fun v -> add "assignment: %s" v) (Assignment.violations ~health:t.health a world);
   List.rev !problems
 
 (* ------------------------------------------------------------------ *)

@@ -94,10 +94,12 @@ val assignment : t -> Cap_model.Assignment.t
 (** The current assignment over {!materialize}'s client indexing. *)
 
 val self_check : t -> string list
-(** Recompute everything the engine maintains incrementally —
-    populations, loads, structural validity, liveness and
-    reachability of every placement — from a fresh materialisation,
-    and report discrepancies. Empty = consistent. O(k·m). *)
+(** Recompute the populations and loads the engine maintains
+    incrementally from a fresh materialisation, compare them with its
+    books, and check the assignment with
+    {!Cap_model.Assignment.violations} under the health mask
+    (structure, liveness, partitions, capacity). Empty = consistent.
+    O(k·m). *)
 
 (** {1 Checkpointing} *)
 

@@ -124,46 +124,45 @@ type live_client = {
   mutable contact : int;
 }
 
-(* Everything the event loop mutates, as plain data (no closures, no
-   shared mutable structures): a checkpoint plus the original config,
-   world and algorithm fully determines the rest of the run. *)
-type checkpoint = {
-  ck_time : float;
-  ck_rng : string;
-  ck_clients : (int * int * int * int) array;  (* id, node, zone, contact *)
-  ck_next_id : int;
-  ck_targets : int array;
-  ck_reassignments : int;
-  ck_trace : Trace.point array;  (* chronological *)
-  ck_alive : bool array;
-  ck_delay_penalty : float array;
-  ck_link_cut : bool array array;
-  ck_link_penalty : float array array;
-  ck_queue : event Event_queue.dump;
-  ck_last_sample : float;
-  ck_last_threshold_reassign : float;
-  ck_crashes : int;
-  ck_recoveries : int;
-  ck_degradations : int;
-  ck_link_cuts : int;
-  ck_link_restores : int;
-  ck_link_degradations : int;
-  ck_failovers : int;
-  ck_retries : int;
-  ck_shed_peak : int;
-  ck_zone_migrations : int;
-  ck_episodes : episode array;  (* closed episodes, chronological *)
-  ck_active : (float * float * float) option;
-  ck_partitions : partition_episode array;  (* closed, chronological *)
-  ck_active_partition : (float * int * int * float) option;
-  ck_violations : string array;
-  ck_retry_pending : bool;
-  ck_obs : ((string * (string * string) list) * float) array;
+(* Everything the event loop reads or writes between events, as plain
+   data. Together with the original config, world and algorithm it
+   fully determines the rest of the run, so a checkpoint is simply a
+   deep copy of it: a field added here is checkpointed with no further
+   edit. Only the queue is converted at that boundary, because its heap
+   holds a comparison closure. *)
+type 'queue state = {
+  rng : Rng.t;
+  queue : 'queue;
+  clients : (int, live_client) Hashtbl.t;
+  mutable next_id : int;
+  mutable targets : int array;
+  mutable reassignments : int;
+  health : Health.t;
+  trace : Trace.t;
+  mutable faults : fault_report;
+      (* counters and closed episodes; the open ones below join it as
+         unresolved when the run ends *)
+  mutable open_crash : episode option;
+  mutable open_partition : partition_episode option;
+  mutable retry_pending : bool;
+  mutable last_sample : float;
+  mutable last_threshold_reassign : float;
+  mutable last_checkpoint : float;
+  mutable telemetry : ((string * (string * string) list) * float) list;
+      (* counter and gauge values, taken when a checkpoint is written *)
 }
 
-let checkpoint_time ck = ck.ck_time
-let checkpoint_clients ck = Array.length ck.ck_clients
-let checkpoint_rng_state ck = ck.ck_rng
+type live = event Event_queue.t state
+type checkpoint = event Event_queue.dump state
+
+(* A deep copy through Marshal without [Closures]: it raises if a
+   closure ever reaches the state, which would also break resume across
+   processes. *)
+let copy (x : 'a) : 'a = Marshal.from_string (Marshal.to_string x []) 0
+
+let checkpoint_time (ck : checkpoint) = ck.queue.Event_queue.clock
+let checkpoint_clients (ck : checkpoint) = Hashtbl.length ck.clients
+let checkpoint_rng_state (ck : checkpoint) = Rng.state ck.rng
 
 type checkpoint_reason = Scheduled | Requested
 
@@ -281,15 +280,22 @@ let recovery_seconds =
   Cap_obs.Metrics.Histogram.create "faults_recovery_seconds"
     ~help:"Simulated seconds from a crash to service recovery"
 
-let run_body ?hook rng config ~world ~algorithm ~start =
+(* What the loop needs besides its state: rebuilt from (config, world,
+   algorithm) on every run and resume, never checkpointed. *)
+type env = {
+  config : config;
+  world : World.t;
+  algorithm : Two_phase.t;
+  schedule : Fault.schedule;  (* validated *)
+  has_faults : bool;
+  region_nodes : int array array Lazy.t;  (* node ids per region, for diurnal arrivals *)
+}
+
+let env config ~world ~algorithm =
   validate config;
   validate_movement config ~zones:(World.zone_count world);
   validate_diurnal config ~regions:world.World.regions;
-  let fault_schedule =
-    Fault.validate ~servers:(World.server_count world) config.faults
-  in
-  let has_faults = fault_schedule <> [] in
-  (* node ids per region, for diurnal arrival placement *)
+  let schedule = Fault.validate ~servers:(World.server_count world) config.faults in
   let region_nodes =
     lazy
       (let buckets = Array.make world.World.regions [] in
@@ -298,603 +304,476 @@ let run_body ?hook rng config ~world ~algorithm ~start =
          world.World.region_of_node;
        Array.map Array.of_list buckets)
   in
-  let sample_arrival_node at =
-    match config.diurnal with
-    | None -> Distribution.sample_node world.World.sampler rng
-    | Some d ->
-        let buckets = Lazy.force region_nodes in
-        let weights =
-          Array.mapi
-            (fun region nodes ->
-              float_of_int (Array.length nodes) *. Diurnal.factor d ~region ~time:at)
-            buckets
-        in
-        (* every region can sit in its trough at once (amplitude 1):
-           fall back to the placement sampler instead of feeding
-           all-zero weights to the weighted draw *)
-        if Array.fold_left ( +. ) 0. weights <= 0. then
-          Distribution.sample_node world.World.sampler rng
-        else begin
-          let region = Rng.weighted_index rng weights in
-          buckets.(region).(Rng.int rng (Array.length buckets.(region)))
-        end
-  in
-  let queue =
-    match start with
-    | `Fresh -> Event_queue.create ()
-    | `Restore ck -> Event_queue.restore ck.ck_queue
-  in
-  let clients : (int, live_client) Hashtbl.t = Hashtbl.create 256 in
-  let next_id = ref 0 in
-  let targets = ref [||] in
-  let reassignments = ref 0 in
-  let trace =
-    match start with
-    | `Fresh -> Trace.create ()
-    | `Restore ck -> Trace.of_points (Array.to_list ck.ck_trace)
-  in
-  let sampler = world.World.sampler in
-  let health = Health.create ~servers:(World.server_count world) in
-  (* The world as it currently is: pristine when everything is up,
-     health-projected (zero capacity, infinite delay on dead servers)
-     otherwise. Algorithms and metrics both read this view. *)
-  let current_world () = if Health.is_pristine health then world else Health.apply health world in
-  (* Snapshot the live population as a world + assignment, in sim-id
-     order so that rebuilding is deterministic. *)
-  let snapshot () =
-    let ids = Hashtbl.fold (fun id _ acc -> id :: acc) clients [] in
-    let ids = List.sort compare ids in
-    let k = List.length ids in
-    let nodes = Array.make k 0 and zones = Array.make k 0 and contacts = Array.make k 0 in
-    List.iteri
-      (fun i id ->
-        let c = Hashtbl.find clients id in
-        nodes.(i) <- c.node;
-        zones.(i) <- c.zone;
-        contacts.(i) <- c.contact)
-      ids;
-    let w = World.replace_clients (current_world ()) ~client_nodes:nodes ~client_zones:zones in
-    let a = Assignment.make ~target_of_zone:!targets ~contact_of_client:contacts in
-    ids, w, a
-  in
-  let count_unassigned () =
-    Hashtbl.fold
-      (fun _ c acc -> if c.contact = Assignment.unassigned then acc + 1 else acc)
-      clients 0
-  in
-  (* --- fault bookkeeping ------------------------------------------ *)
-  let crashes = ref 0
-  and recoveries = ref 0
-  and degradations = ref 0
-  and link_cuts = ref 0
-  and link_restores = ref 0
-  and link_degradations = ref 0
-  and failovers = ref 0
-  and retries = ref 0
-  and shed_peak = ref 0
-  and zone_migrations = ref 0 in
-  let episodes = ref [] in
-  let active_episode : (float * float * float ref) option ref = ref None in
-  (* (started_at, pre_pqos, min_pqos so far) *)
-  let partitions = ref [] in
-  let active_partition : (float * int ref * int ref * float ref) option ref =
-    ref None
-  in
-  (* (partitioned_at, peak components, peak stranded, lowest pQoS) *)
-  let invariant_violations = ref [] in
-  let violations_kept = 50 in
-  let current_pqos () =
-    let _, w, a = snapshot () in
-    Assignment.pqos a w
-  in
-  let open_episode at =
-    if !active_episode = None then begin
-      let pre = current_pqos () in
-      active_episode := Some (at, pre, ref pre)
-    end
-  in
-  let update_episode at pqos =
-    match !active_episode with
-    | None -> ()
-    | Some (started, pre, low) ->
-        low := min !low pqos;
-        if count_unassigned () = 0 && pqos >= pre -. recovery_tolerance then begin
-          episodes :=
-            { started_at = started; recovered_at = Some at; pre_pqos = pre; min_pqos = !low }
-            :: !episodes;
-          Cap_obs.Metrics.Histogram.observe recovery_seconds (at -. started);
-          active_episode := None
-        end
-  in
-  (* A partition episode opens when the live mesh splits into more
-     than one component and closes the moment it is whole again (or
-     every server is dead — nothing is partitioned from anything). *)
-  let update_partition at ~components ~stranded ~pqos =
-    Cap_obs.Metrics.Gauge.set partition_components_gauge (float_of_int components);
-    match !active_partition with
-    | None ->
-        if components > 1 then
-          active_partition := Some (at, ref components, ref stranded, ref pqos)
-    | Some (started, comp, str, low) ->
-        comp := max !comp components;
-        str := max !str stranded;
-        low := min !low pqos;
-        if components <= 1 then begin
-          partitions :=
+  { config; world; algorithm; schedule; has_faults = schedule <> []; region_nodes }
+
+let sample_arrival_node env st at =
+  let sampler = env.world.World.sampler in
+  match env.config.diurnal with
+  | None -> Distribution.sample_node sampler st.rng
+  | Some d ->
+      let buckets = Lazy.force env.region_nodes in
+      let weights =
+        Array.mapi
+          (fun region nodes ->
+            float_of_int (Array.length nodes) *. Diurnal.factor d ~region ~time:at)
+          buckets
+      in
+      (* every region can sit in its trough at once (amplitude 1):
+         fall back to the placement sampler instead of feeding
+         all-zero weights to the weighted draw *)
+      if Array.fold_left ( +. ) 0. weights <= 0. then Distribution.sample_node sampler st.rng
+      else begin
+        let region = Rng.weighted_index st.rng weights in
+        buckets.(region).(Rng.int st.rng (Array.length buckets.(region)))
+      end
+
+(* The world as it currently is: pristine when everything is up,
+   health-projected (zero capacity, infinite delay on dead servers)
+   otherwise. Algorithms and metrics both read this view. *)
+let current_world env st =
+  if Health.is_pristine st.health then env.world else Health.apply st.health env.world
+
+(* The live population as a world + assignment, in sim-id order so
+   that rebuilding is deterministic. *)
+let snapshot env st =
+  let ids = Hashtbl.fold (fun id _ acc -> id :: acc) st.clients [] in
+  let ids = List.sort compare ids in
+  let k = List.length ids in
+  let nodes = Array.make k 0 and zones = Array.make k 0 and contacts = Array.make k 0 in
+  List.iteri
+    (fun i id ->
+      let c = Hashtbl.find st.clients id in
+      nodes.(i) <- c.node;
+      zones.(i) <- c.zone;
+      contacts.(i) <- c.contact)
+    ids;
+  let w = World.replace_clients (current_world env st) ~client_nodes:nodes ~client_zones:zones in
+  let a = Assignment.make ~target_of_zone:st.targets ~contact_of_client:contacts in
+  ids, w, a
+
+let count_unassigned st =
+  Hashtbl.fold
+    (fun _ c acc -> if c.contact = Assignment.unassigned then acc + 1 else acc)
+    st.clients 0
+
+let update_faults st f = st.faults <- f st.faults
+
+let open_crash env st at =
+  if Option.is_none st.open_crash then begin
+    let _, w, a = snapshot env st in
+    let pre = Assignment.pqos a w in
+    st.open_crash <-
+      Some { started_at = at; recovered_at = None; pre_pqos = pre; min_pqos = pre }
+  end
+
+let update_crash st at pqos =
+  match st.open_crash with
+  | None -> ()
+  | Some e ->
+      let e = { e with min_pqos = min e.min_pqos pqos } in
+      if count_unassigned st = 0 && pqos >= e.pre_pqos -. recovery_tolerance then begin
+        update_faults st (fun f ->
+            { f with episodes = f.episodes @ [ { e with recovered_at = Some at } ] });
+        Cap_obs.Metrics.Histogram.observe recovery_seconds (at -. e.started_at);
+        st.open_crash <- None
+      end
+      else st.open_crash <- Some e
+
+(* A partition episode opens when the live mesh splits into more
+   than one component and closes the moment it is whole again (or
+   every server is dead — nothing is partitioned from anything). *)
+let update_partition st at ~components ~stranded ~pqos =
+  Cap_obs.Metrics.Gauge.set partition_components_gauge (float_of_int components);
+  match st.open_partition with
+  | None ->
+      if components > 1 then
+        st.open_partition <-
+          Some
             {
-              partitioned_at = started;
-              healed_at = Some at;
-              peak_components = !comp;
-              peak_stranded = !str;
-              low_pqos = !low;
+              partitioned_at = at;
+              healed_at = None;
+              peak_components = components;
+              peak_stranded = stranded;
+              low_pqos = pqos;
             }
-            :: !partitions;
-          Cap_obs.Metrics.Histogram.observe reconnect_seconds (at -. started);
-          active_partition := None
-        end
-  in
-  (* Post-event checks: the structural invariants (no zone or client on
-     a dead server, shed state consistent, capacities respected) and
-     the recovery bookkeeping. *)
-  let post_event at =
-    if has_faults then begin
-      let _, w, a = snapshot () in
-      let violations = Cap_faults.Invariants.check ~world:w ~health ~assignment:a in
-      if violations <> [] && List.length !invariant_violations < violations_kept then
-        invariant_violations := !invariant_violations @ violations;
-      shed_peak := max !shed_peak (Assignment.unassigned_clients a);
-      Cap_obs.Metrics.Gauge.set shed_clients_gauge
-        (float_of_int (Assignment.unassigned_clients a));
-      Cap_obs.Metrics.Gauge.set down_servers_gauge
-        (float_of_int (World.server_count world - Health.alive_count health));
-      let pqos = Assignment.pqos a w in
-      update_episode at pqos;
-      update_partition at
-        ~components:(Health.partition_count health)
-        ~stranded:(Assignment.unassigned_clients a) ~pqos
-    end
-  in
-  (* Failure-aware reassignment: migrate orphaned zones off dead
-     servers (re-admitting previously shed ones) with a bounded number
-     of optimization moves, then rebuild contacts. Total blackout
-     degrades to everyone-unassigned instead of raising. *)
-  let failover () =
-    incr failovers;
-    Cap_obs.Metrics.Counter.incr failovers_total;
-    if Health.alive_count health = 0 then begin
-      targets := Array.map (fun _ -> Assignment.unassigned) !targets;
-      Hashtbl.iter (fun _ c -> c.contact <- Assignment.unassigned) clients
-    end
-    else begin
-      let ids, w, previous = snapshot () in
-      let assignment, migration =
-        Incremental.refresh ~max_zone_moves:config.failover_moves
-          ~alive:(Health.alive_mask health) w ~previous
+  | Some p ->
+      let p =
+        {
+          p with
+          peak_components = max p.peak_components components;
+          peak_stranded = max p.peak_stranded stranded;
+          low_pqos = min p.low_pqos pqos;
+        }
       in
-      zone_migrations := !zone_migrations + migration.Incremental.zone_moves;
-      targets := Array.copy assignment.Assignment.target_of_zone;
-      List.iteri
-        (fun i id ->
-          (Hashtbl.find clients id).contact <- assignment.Assignment.contact_of_client.(i))
-        ids
-    end
-  in
-  let retry_pending = ref false in
-  let max_backoff_doublings = 5 in
-  let schedule_retry at ~attempt =
-    if count_unassigned () > 0 && not !retry_pending then begin
-      let backoff =
-        config.retry_interval *. (2. ** float_of_int (min (attempt - 1) max_backoff_doublings))
-      in
-      retry_pending := true;
-      Event_queue.schedule queue ~time:(at +. backoff) (Retry attempt)
-    end
-  in
-  let reassign () =
-    let t0 = Cap_obs.Clock.now () in
-    if Health.alive_count health = 0 then begin
-      (* no servers: a full reassignment cannot help; stay shed *)
-      targets := Array.map (fun _ -> Assignment.unassigned) !targets;
-      Hashtbl.iter (fun _ c -> c.contact <- Assignment.unassigned) clients
-    end
-    else begin
-      let ids, w, _ = snapshot () in
-      let assignment = Two_phase.run algorithm rng w in
-      (* The two-phase algorithms see zeroed capacities but may still
-         park empty zones on a dead server; a zero-budget failure-aware
-         refresh evacuates them (and re-admits shed zones). *)
-      let assignment =
-        if Health.all_alive health then assignment
-        else
-          fst
-            (Incremental.refresh ~max_zone_moves:0 ~alive:(Health.alive_mask health) w
-               ~previous:assignment)
-      in
-      targets := Array.copy assignment.Assignment.target_of_zone;
-      List.iteri
-        (fun i id ->
-          (Hashtbl.find clients id).contact <- assignment.Assignment.contact_of_client.(i))
-        ids
-    end;
-    incr reassignments;
-    Cap_obs.Metrics.Counter.incr reassignments_total;
-    Cap_obs.Metrics.Histogram.observe reassign_seconds (Cap_obs.Clock.elapsed_since t0)
-  in
-  let schedule_departure id at =
-    Event_queue.schedule queue
-      ~time:(at +. Rng.exponential rng ~rate:(1. /. config.mean_session))
-      (Departure id)
-  in
-  let schedule_move id at =
-    Event_queue.schedule queue
-      ~time:(at +. Rng.exponential rng ~rate:(1. /. config.mean_move_interval))
-      (Move id)
-  in
-  let spawn ~node ~zone ~contact ~at =
-    let id = !next_id in
-    incr next_id;
-    Hashtbl.replace clients id { node; zone; contact };
-    schedule_departure id at;
-    schedule_move id at;
-    id
-  in
-  (match start with
-  | `Fresh ->
-      (* Seed the initial population from the world and assign it. *)
-      let initial = Two_phase.run algorithm rng world in
-      targets := Array.copy initial.Assignment.target_of_zone;
-      Array.iteri
-        (fun i node ->
-          ignore
-            (spawn ~node
-               ~zone:world.World.client_zones.(i)
-               ~contact:initial.Assignment.contact_of_client.(i)
-               ~at:0.))
-        world.World.client_nodes;
-      reassignments := 0;
-      if config.arrival_rate > 0. then
-        Event_queue.schedule queue
-          ~time:(Rng.exponential rng ~rate:config.arrival_rate)
-          Arrival;
-      Event_queue.schedule queue ~time:config.sample_interval Sample;
-      (match config.policy with
-      | Policy.Periodic period -> Event_queue.schedule queue ~time:period Reassign
-      | Policy.Never | Policy.On_threshold _ -> ());
-      (match config.flash_crowd with
-      | Some f -> Event_queue.schedule queue ~time:f.at (Flash f)
-      | None -> ());
-      List.iter
-        (fun { Fault.at; event } -> Event_queue.schedule queue ~time:at (Fault_event event))
-        fault_schedule
-  | `Restore ck ->
-      (* Pending events (arrivals, samples, faults, retries) are all in
-         the restored queue; nothing is re-scheduled here. *)
-      if
-        Array.length ck.ck_targets <> World.zone_count world
-        || Array.length ck.ck_alive <> World.server_count world
-      then invalid_arg "Dve_sim.resume: checkpoint does not match the world";
-      targets := Array.copy ck.ck_targets;
-      next_id := ck.ck_next_id;
-      reassignments := ck.ck_reassignments;
-      Array.iter
-        (fun (id, node, zone, contact) ->
-          Hashtbl.replace clients id { node; zone; contact })
-        ck.ck_clients;
-      Array.blit ck.ck_alive 0 health.Health.alive 0 (Array.length ck.ck_alive);
-      Array.blit ck.ck_delay_penalty 0 health.Health.delay_penalty 0
-        (Array.length ck.ck_delay_penalty);
-      Array.iteri
-        (fun i row -> Array.blit row 0 health.Health.link_cut.(i) 0 (Array.length row))
-        ck.ck_link_cut;
-      Array.iteri
-        (fun i row ->
-          Array.blit row 0 health.Health.link_penalty.(i) 0 (Array.length row))
-        ck.ck_link_penalty;
-      crashes := ck.ck_crashes;
-      recoveries := ck.ck_recoveries;
-      degradations := ck.ck_degradations;
-      link_cuts := ck.ck_link_cuts;
-      link_restores := ck.ck_link_restores;
-      link_degradations := ck.ck_link_degradations;
-      failovers := ck.ck_failovers;
-      retries := ck.ck_retries;
-      shed_peak := ck.ck_shed_peak;
-      zone_migrations := ck.ck_zone_migrations;
-      episodes := List.rev (Array.to_list ck.ck_episodes);
-      active_episode :=
-        (match ck.ck_active with
-        | Some (started, pre, low) -> Some (started, pre, ref low)
-        | None -> None);
-      partitions := List.rev (Array.to_list ck.ck_partitions);
-      active_partition :=
-        (match ck.ck_active_partition with
-        | Some (started, comp, str, low) ->
-            Some (started, ref comp, ref str, ref low)
-        | None -> None);
-      invariant_violations := Array.to_list ck.ck_violations;
-      retry_pending := ck.ck_retry_pending;
-      Cap_obs.Metrics.restore_values (Array.to_list ck.ck_obs));
-  let last_sample_time =
-    ref (match start with `Fresh -> 0. | `Restore ck -> ck.ck_last_sample)
-  in
-  let last_threshold_reassign =
-    ref
-      (match start with
-      | `Fresh -> neg_infinity
-      | `Restore ck -> ck.ck_last_threshold_reassign)
-  in
-  let sample_metrics at =
-    last_sample_time := at;
-    Cap_obs.Metrics.Gauge.set live_clients_gauge (float_of_int (Hashtbl.length clients));
-    let _, w, a = snapshot () in
+      if components <= 1 then begin
+        update_faults st (fun f ->
+            { f with partitions = f.partitions @ [ { p with healed_at = Some at } ] });
+        Cap_obs.Metrics.Histogram.observe reconnect_seconds (at -. p.partitioned_at);
+        st.open_partition <- None
+      end
+      else st.open_partition <- Some p
+
+let violations_kept = 50
+
+(* Post-event checks: the structural invariants (no zone or client on a
+   dead server, shed state consistent, no contact across a partition)
+   and the recovery bookkeeping. Capacity is not checked: overload under
+   churn is a QoS problem, not a failover bug. *)
+let post_event env st at =
+  if env.has_faults then begin
+    let _, w, a = snapshot env st in
+    let violations = Assignment.violations ~health:st.health ~capacity:false a w in
+    Cap_obs.Metrics.Counter.add Fault.invariant_violations_total
+      (float_of_int (List.length violations));
+    let shed = Assignment.unassigned_clients a in
+    update_faults st (fun f ->
+        {
+          f with
+          invariant_violations =
+            (if violations <> [] && List.length f.invariant_violations < violations_kept
+             then f.invariant_violations @ violations
+             else f.invariant_violations);
+          shed_peak = max f.shed_peak shed;
+        });
+    Cap_obs.Metrics.Gauge.set shed_clients_gauge (float_of_int shed);
+    Cap_obs.Metrics.Gauge.set down_servers_gauge
+      (float_of_int (World.server_count env.world - Health.alive_count st.health));
     let pqos = Assignment.pqos a w in
-    let components = Health.partition_count health in
-    Trace.record trace
-      {
-        Trace.time = at;
-        clients = Hashtbl.length clients;
-        pqos;
-        utilization = Assignment.utilization a w;
-        reassignments = !reassignments;
-        unassigned = Assignment.unassigned_clients a;
-        down_servers = World.server_count world - Health.alive_count health;
-        components;
-      };
-    update_episode at pqos;
-    if has_faults then
-      update_partition at ~components
-        ~stranded:(Assignment.unassigned_clients a) ~pqos;
-    pqos
-  in
-  (* Capture the full loop state as plain data. Runs after an event has
-     been completely processed, so resuming replays exactly the
-     remaining events against the same RNG stream. *)
-  let capture at =
-    let ids = Hashtbl.fold (fun id c acc -> (id, c) :: acc) clients [] in
-    let ids = List.sort (fun (a, _) (b, _) -> compare a b) ids in
+    update_crash st at pqos;
+    update_partition st at ~components:(Health.partition_count st.health) ~stranded:shed ~pqos
+  end
+
+let shed_everyone st =
+  st.targets <- Array.map (fun _ -> Assignment.unassigned) st.targets;
+  Hashtbl.iter (fun _ c -> c.contact <- Assignment.unassigned) st.clients
+
+(* Take over [assignment], computed on [snapshot]'s world for [ids]. *)
+let adopt st ids assignment =
+  st.targets <- Array.copy assignment.Assignment.target_of_zone;
+  List.iteri
+    (fun i id ->
+      (Hashtbl.find st.clients id).contact <- assignment.Assignment.contact_of_client.(i))
+    ids
+
+(* Failure-aware reassignment: migrate orphaned zones off dead servers
+   (re-admitting previously shed ones) with a bounded number of
+   optimization moves, then rebuild contacts. Total blackout degrades
+   to everyone-unassigned instead of raising. *)
+let failover env st =
+  update_faults st (fun f -> { f with failovers = f.failovers + 1 });
+  Cap_obs.Metrics.Counter.incr failovers_total;
+  if Health.alive_count st.health = 0 then shed_everyone st
+  else begin
+    let ids, w, previous = snapshot env st in
+    let assignment, migration =
+      Incremental.refresh ~max_zone_moves:env.config.failover_moves
+        ~alive:(Health.alive_mask st.health) w ~previous
+    in
+    update_faults st (fun f ->
+        { f with zone_migrations = f.zone_migrations + migration.Incremental.zone_moves });
+    adopt st ids assignment
+  end
+
+let max_backoff_doublings = 5
+
+let schedule_retry env st at ~attempt =
+  if count_unassigned st > 0 && not st.retry_pending then begin
+    let backoff =
+      env.config.retry_interval
+      *. (2. ** float_of_int (min (attempt - 1) max_backoff_doublings))
+    in
+    st.retry_pending <- true;
+    Event_queue.schedule st.queue ~time:(at +. backoff) (Retry attempt)
+  end
+
+let reassign env st =
+  let t0 = Cap_obs.Clock.now () in
+  (* no servers: a full reassignment cannot help; stay shed *)
+  if Health.alive_count st.health = 0 then shed_everyone st
+  else begin
+    let ids, w, _ = snapshot env st in
+    let assignment = Two_phase.run env.algorithm st.rng w in
+    (* The two-phase algorithms see zeroed capacities but may still
+       park empty zones on a dead server; a zero-budget failure-aware
+       refresh evacuates them (and re-admits shed zones). *)
+    let assignment =
+      if Health.all_alive st.health then assignment
+      else
+        fst
+          (Incremental.refresh ~max_zone_moves:0 ~alive:(Health.alive_mask st.health) w
+             ~previous:assignment)
+    in
+    adopt st ids assignment
+  end;
+  st.reassignments <- st.reassignments + 1;
+  Cap_obs.Metrics.Counter.incr reassignments_total;
+  Cap_obs.Metrics.Histogram.observe reassign_seconds (Cap_obs.Clock.elapsed_since t0)
+
+let spawn env st ~node ~zone ~contact ~at =
+  let id = st.next_id in
+  st.next_id <- id + 1;
+  Hashtbl.replace st.clients id { node; zone; contact };
+  Event_queue.schedule st.queue
+    ~time:(at +. Rng.exponential st.rng ~rate:(1. /. env.config.mean_session))
+    (Departure id);
+  Event_queue.schedule st.queue
+    ~time:(at +. Rng.exponential st.rng ~rate:(1. /. env.config.mean_move_interval))
+    (Move id)
+
+let sample_metrics env st at =
+  st.last_sample <- at;
+  Cap_obs.Metrics.Gauge.set live_clients_gauge (float_of_int (Hashtbl.length st.clients));
+  let _, w, a = snapshot env st in
+  let pqos = Assignment.pqos a w in
+  let components = Health.partition_count st.health in
+  Trace.record st.trace
     {
-      ck_time = at;
-      ck_rng = Rng.state rng;
-      ck_clients =
-        Array.of_list (List.map (fun (id, c) -> (id, c.node, c.zone, c.contact)) ids);
-      ck_next_id = !next_id;
-      ck_targets = Array.copy !targets;
-      ck_reassignments = !reassignments;
-      ck_trace = Array.of_list (Trace.points trace);
-      ck_alive = Array.copy health.Health.alive;
-      ck_delay_penalty = Array.copy health.Health.delay_penalty;
-      ck_link_cut = Array.map Array.copy health.Health.link_cut;
-      ck_link_penalty = Array.map Array.copy health.Health.link_penalty;
-      ck_queue = Event_queue.dump queue;
-      ck_last_sample = !last_sample_time;
-      ck_last_threshold_reassign = !last_threshold_reassign;
-      ck_crashes = !crashes;
-      ck_recoveries = !recoveries;
-      ck_degradations = !degradations;
-      ck_link_cuts = !link_cuts;
-      ck_link_restores = !link_restores;
-      ck_link_degradations = !link_degradations;
-      ck_failovers = !failovers;
-      ck_retries = !retries;
-      ck_shed_peak = !shed_peak;
-      ck_zone_migrations = !zone_migrations;
-      ck_episodes = Array.of_list (List.rev !episodes);
-      ck_active =
-        (match !active_episode with
-        | Some (started, pre, low) -> Some (started, pre, !low)
-        | None -> None);
-      ck_partitions = Array.of_list (List.rev !partitions);
-      ck_active_partition =
-        (match !active_partition with
-        | Some (started, comp, str, low) -> Some (started, !comp, !str, !low)
-        | None -> None);
-      ck_violations = Array.of_list !invariant_violations;
-      ck_retry_pending = !retry_pending;
-      ck_obs = Array.of_list (Cap_obs.Metrics.export_values ());
+      Trace.time = at;
+      clients = Hashtbl.length st.clients;
+      pqos;
+      utilization = Assignment.utilization a w;
+      reassignments = st.reassignments;
+      unassigned = Assignment.unassigned_clients a;
+      down_servers = World.server_count env.world - Health.alive_count st.health;
+      components;
+    };
+  update_crash st at pqos;
+  if env.has_faults then
+    update_partition st at ~components ~stranded:(Assignment.unassigned_clients a) ~pqos;
+  pqos
+
+(* The fresh state: the world's population, assigned by the algorithm,
+   with the first arrival, sample, reassignment, flash crowd and every
+   fault already queued. *)
+let init env rng : live =
+  let world = env.world in
+  let st =
+    {
+      rng;
+      queue = Event_queue.create ();
+      clients = Hashtbl.create 256;
+      next_id = 0;
+      targets = [||];
+      reassignments = 0;
+      health = Health.create ~servers:(World.server_count world);
+      trace = Trace.create ();
+      faults = no_faults;
+      open_crash = None;
+      open_partition = None;
+      retry_pending = false;
+      last_sample = 0.;
+      last_threshold_reassign = neg_infinity;
+      last_checkpoint = 0.;
+      telemetry = [];
     }
   in
-  let last_checkpoint =
-    ref (match start with `Fresh -> 0. | `Restore ck -> ck.ck_time)
-  in
-  let interrupted = ref false in
-  (* Checkpoint between events: the policy cadence is in sim-seconds,
-     the request flag (a SIGTERM handler's ref) stops the run after
-     writing a final snapshot. *)
-  let maybe_checkpoint at =
-    match hook with
-    | None -> ()
-    | Some h ->
-        if h.request () then begin
-          h.write ~reason:Requested (capture at);
-          last_checkpoint := at;
-          interrupted := true
-        end
-        else
-          (match h.every with
-          | Some every when at -. !last_checkpoint >= every ->
-              h.write ~reason:Scheduled (capture at);
-              last_checkpoint := at
-          | Some _ | None -> ())
-  in
-  let finished = ref false in
-  while not !finished do
-    match Event_queue.next queue with
-    | None -> finished := true
-    | Some (at, _) when at > config.duration -> finished := true
-    | Some (at, event) ->
-        (match event with
-        | Arrival ->
-            Cap_obs.Metrics.Counter.incr arrival_events;
-            let node = sample_arrival_node at in
-            let zone = Distribution.sample_zone sampler rng ~node in
-            ignore (spawn ~node ~zone ~contact:!targets.(zone) ~at);
-            Event_queue.schedule queue
-              ~time:(at +. Rng.exponential rng ~rate:config.arrival_rate)
-              Arrival
-        | Departure id ->
-            Cap_obs.Metrics.Counter.incr departure_events;
-            Hashtbl.remove clients id
-        | Move id -> (
-            Cap_obs.Metrics.Counter.incr move_events;
-            match Hashtbl.find_opt clients id with
-            | None -> ()
-            | Some c ->
-                c.zone <-
-                  (match config.movement with
-                  | Teleport -> Distribution.sample_zone sampler rng ~node:c.node
-                  | Roam map -> Cap_model.Zone_map.random_neighbor rng map c.zone);
-                (* Wandering into a shed zone queues the client;
-                   wandering out of one re-homes it. A sticky contact
-                   that cannot reach the new zone's target across a cut
-                   backbone is re-homed to the target itself. Contacts
-                   otherwise stay sticky until the next reassignment. *)
-                (if has_faults then begin
-                   let target = !targets.(c.zone) in
-                   if
-                     c.contact = Assignment.unassigned
-                     <> (target = Assignment.unassigned)
-                   then c.contact <- target
-                   else if
-                     c.contact <> Assignment.unassigned
-                     && target <> Assignment.unassigned
-                     && (not (Health.links_pristine health))
-                     && not
-                          (World.servers_reachable (current_world ()) c.contact
-                             target)
-                   then c.contact <- target
-                 end);
-                schedule_move id at)
-        | Sample ->
-            Cap_obs.Metrics.Counter.incr sample_events;
-            let pqos = sample_metrics at in
-            (match config.policy with
-            | Policy.On_threshold { pqos = threshold; min_interval }
-              when pqos < threshold && at -. !last_threshold_reassign >= min_interval ->
-                last_threshold_reassign := at;
-                reassign ();
-                post_event at
-            | Policy.Never | Policy.Periodic _ | Policy.On_threshold _ -> ());
-            Event_queue.schedule queue ~time:(at +. config.sample_interval) Sample
-        | Reassign -> (
-            reassign ();
-            post_event at;
-            match config.policy with
-            | Policy.Periodic period ->
-                Event_queue.schedule queue ~time:(at +. period) Reassign
-            | Policy.Never | Policy.On_threshold _ -> ())
-        | Fault_event fault ->
-            (match fault with
-            | Fault.Crash s ->
-                incr crashes;
-                Cap_obs.Metrics.Counter.incr crashes_total;
-                open_episode at;
-                Health.crash health s
-            | Fault.Recover s ->
-                incr recoveries;
-                Cap_obs.Metrics.Counter.incr recoveries_total;
-                Health.recover health s
-            | Fault.Degrade { server; delay_penalty } ->
-                incr degradations;
-                Cap_obs.Metrics.Counter.incr degradations_total;
-                Health.degrade health server ~delay_penalty
-            | Fault.Link_cut { s1; s2 } ->
-                incr link_cuts;
-                Cap_obs.Metrics.Counter.incr link_cuts_total;
-                Health.cut_link health s1 s2
-            | Fault.Link_restore { s1; s2 } ->
-                incr link_restores;
-                Cap_obs.Metrics.Counter.incr link_restores_total;
-                Health.restore_link health s1 s2
-            | Fault.Link_degrade { s1; s2; delay_penalty } ->
-                incr link_degradations;
-                Cap_obs.Metrics.Counter.incr link_degradations_total;
-                Health.degrade_link health s1 s2 ~delay_penalty);
-            failover ();
-            post_event at;
-            schedule_retry at ~attempt:1
-        | Retry attempt ->
-            retry_pending := false;
-            if count_unassigned () > 0 then begin
-              incr retries;
-              Cap_obs.Metrics.Counter.incr retries_total;
-              if Health.alive_count health > 0 then failover ();
-              post_event at;
-              schedule_retry at ~attempt:(attempt + 1)
-            end
-        | Flash f ->
-            Cap_obs.Metrics.Counter.incr flash_events;
-            let zone =
-              match f.target_zone with
-              | Some z -> z
-              | None -> Rng.int rng (World.zone_count world)
-            in
-            let ids = Hashtbl.fold (fun id _ acc -> id :: acc) clients [] in
-            let ids = Array.of_list (List.sort compare ids) in
-            let crowd =
-              int_of_float (f.fraction *. float_of_int (Array.length ids))
-            in
-            let chosen = Rng.sample_distinct rng ~k:crowd ~n:(Array.length ids) in
-            Array.iter
-              (fun idx -> (Hashtbl.find clients ids.(idx)).zone <- zone)
-              chosen);
-        maybe_checkpoint at;
-        if !interrupted then finished := true
-  done;
-  (* The event loop discards anything past [duration]; snapshot once
-     more so the trace's last row is the state at the end of the run,
-     not up to one sample interval earlier. An interrupted run skips
-     this: the resumed run produces the tail. *)
-  if (not !interrupted) && !last_sample_time < config.duration then
-    ignore (sample_metrics config.duration);
-  (* A still-open episode is reported as unresolved. *)
-  (match !active_episode with
-  | Some (started, pre, low) when not !interrupted ->
-      episodes :=
-        { started_at = started; recovered_at = None; pre_pqos = pre; min_pqos = !low }
-        :: !episodes
-  | Some _ | None -> ());
-  (match !active_partition with
-  | Some (started, comp, str, low) when not !interrupted ->
-      partitions :=
-        {
-          partitioned_at = started;
-          healed_at = None;
-          peak_components = !comp;
-          peak_stranded = !str;
-          low_pqos = !low;
-        }
-        :: !partitions
-  | Some _ | None -> ());
-  let _, final_world, final_assignment = snapshot () in
+  let initial = Two_phase.run env.algorithm rng world in
+  st.targets <- Array.copy initial.Assignment.target_of_zone;
+  Array.iteri
+    (fun i node ->
+      spawn env st ~node ~zone:world.World.client_zones.(i)
+        ~contact:initial.Assignment.contact_of_client.(i) ~at:0.)
+    world.World.client_nodes;
+  let schedule time event = Event_queue.schedule st.queue ~time event in
+  if env.config.arrival_rate > 0. then
+    schedule (Rng.exponential rng ~rate:env.config.arrival_rate) Arrival;
+  schedule env.config.sample_interval Sample;
+  (match env.config.policy with
+  | Policy.Periodic period -> schedule period Reassign
+  | Policy.Never | Policy.On_threshold _ -> ());
+  Option.iter (fun f -> schedule f.at (Flash f)) env.config.flash_crowd;
+  List.iter (fun { Fault.at; event } -> schedule at (Fault_event event)) env.schedule;
+  st
+
+(* The state a checkpoint holds, validated against the world it resumes
+   on. Pending events (arrivals, samples, faults, retries) are all in
+   the restored queue. *)
+let of_checkpoint env (ck : checkpoint) : live =
+  let ck = copy ck in
+  if
+    Array.length ck.targets <> World.zone_count env.world
+    || Health.server_count ck.health <> World.server_count env.world
+  then invalid_arg "Dve_sim.resume: checkpoint does not match the world";
+  Cap_obs.Metrics.restore_values ck.telemetry;
+  { ck with queue = Event_queue.restore ck.queue }
+
+let to_checkpoint (st : live) : checkpoint =
+  st.telemetry <- Cap_obs.Metrics.export_values ();
+  copy { st with queue = Event_queue.dump st.queue }
+
+let fault_event env st at = function
+  | Fault.Crash s ->
+      update_faults st (fun f -> { f with crashes = f.crashes + 1 });
+      Cap_obs.Metrics.Counter.incr crashes_total;
+      open_crash env st at;
+      Health.crash st.health s
+  | Fault.Recover s ->
+      update_faults st (fun f -> { f with recoveries = f.recoveries + 1 });
+      Cap_obs.Metrics.Counter.incr recoveries_total;
+      Health.recover st.health s
+  | Fault.Degrade { server; delay_penalty } ->
+      update_faults st (fun f -> { f with degradations = f.degradations + 1 });
+      Cap_obs.Metrics.Counter.incr degradations_total;
+      Health.degrade st.health server ~delay_penalty
+  | Fault.Link_cut { s1; s2 } ->
+      update_faults st (fun f -> { f with link_cuts = f.link_cuts + 1 });
+      Cap_obs.Metrics.Counter.incr link_cuts_total;
+      Health.cut_link st.health s1 s2
+  | Fault.Link_restore { s1; s2 } ->
+      update_faults st (fun f -> { f with link_restores = f.link_restores + 1 });
+      Cap_obs.Metrics.Counter.incr link_restores_total;
+      Health.restore_link st.health s1 s2
+  | Fault.Link_degrade { s1; s2; delay_penalty } ->
+      update_faults st (fun f -> { f with link_degradations = f.link_degradations + 1 });
+      Cap_obs.Metrics.Counter.incr link_degradations_total;
+      Health.degrade_link st.health s1 s2 ~delay_penalty
+
+(* Handle one event at time [at]. *)
+let step env st at = function
+  | Arrival ->
+      Cap_obs.Metrics.Counter.incr arrival_events;
+      let node = sample_arrival_node env st at in
+      let zone = Distribution.sample_zone env.world.World.sampler st.rng ~node in
+      spawn env st ~node ~zone ~contact:st.targets.(zone) ~at;
+      Event_queue.schedule st.queue
+        ~time:(at +. Rng.exponential st.rng ~rate:env.config.arrival_rate)
+        Arrival
+  | Departure id ->
+      Cap_obs.Metrics.Counter.incr departure_events;
+      Hashtbl.remove st.clients id
+  | Move id -> (
+      Cap_obs.Metrics.Counter.incr move_events;
+      match Hashtbl.find_opt st.clients id with
+      | None -> ()
+      | Some c ->
+          c.zone <-
+            (match env.config.movement with
+            | Teleport -> Distribution.sample_zone env.world.World.sampler st.rng ~node:c.node
+            | Roam map -> Cap_model.Zone_map.random_neighbor st.rng map c.zone);
+          (* Wandering into a shed zone queues the client; wandering out
+             of one re-homes it. A sticky contact that cannot reach the
+             new zone's target across a cut backbone is re-homed to the
+             target itself. Contacts otherwise stay sticky until the
+             next reassignment. *)
+          (if env.has_faults then begin
+             let target = st.targets.(c.zone) in
+             if c.contact = Assignment.unassigned <> (target = Assignment.unassigned) then
+               c.contact <- target
+             else if
+               c.contact <> Assignment.unassigned
+               && target <> Assignment.unassigned
+               && (not (Health.links_pristine st.health))
+               && not (World.servers_reachable (current_world env st) c.contact target)
+             then c.contact <- target
+           end);
+          Event_queue.schedule st.queue
+            ~time:(at +. Rng.exponential st.rng ~rate:(1. /. env.config.mean_move_interval))
+            (Move id))
+  | Sample ->
+      Cap_obs.Metrics.Counter.incr sample_events;
+      let pqos = sample_metrics env st at in
+      (match env.config.policy with
+      | Policy.On_threshold { pqos = threshold; min_interval }
+        when pqos < threshold && at -. st.last_threshold_reassign >= min_interval ->
+          st.last_threshold_reassign <- at;
+          reassign env st;
+          post_event env st at
+      | Policy.Never | Policy.Periodic _ | Policy.On_threshold _ -> ());
+      Event_queue.schedule st.queue ~time:(at +. env.config.sample_interval) Sample
+  | Reassign -> (
+      reassign env st;
+      post_event env st at;
+      match env.config.policy with
+      | Policy.Periodic period -> Event_queue.schedule st.queue ~time:(at +. period) Reassign
+      | Policy.Never | Policy.On_threshold _ -> ())
+  | Fault_event fault ->
+      fault_event env st at fault;
+      failover env st;
+      post_event env st at;
+      schedule_retry env st at ~attempt:1
+  | Retry attempt ->
+      st.retry_pending <- false;
+      if count_unassigned st > 0 then begin
+        update_faults st (fun f -> { f with retries = f.retries + 1 });
+        Cap_obs.Metrics.Counter.incr retries_total;
+        if Health.alive_count st.health > 0 then failover env st;
+        post_event env st at;
+        schedule_retry env st at ~attempt:(attempt + 1)
+      end
+  | Flash f ->
+      Cap_obs.Metrics.Counter.incr flash_events;
+      let zone =
+        match f.target_zone with
+        | Some z -> z
+        | None -> Rng.int st.rng (World.zone_count env.world)
+      in
+      let ids = Hashtbl.fold (fun id _ acc -> id :: acc) st.clients [] in
+      let ids = Array.of_list (List.sort compare ids) in
+      let crowd = int_of_float (f.fraction *. float_of_int (Array.length ids)) in
+      let chosen = Rng.sample_distinct st.rng ~k:crowd ~n:(Array.length ids) in
+      Array.iter (fun idx -> (Hashtbl.find st.clients ids.(idx)).zone <- zone) chosen
+
+(* Checkpoint between events: the hook's cadence is in sim-seconds, and
+   its request flag (a SIGTERM handler's ref) stops the run after
+   writing a final snapshot. True when the run stops here. *)
+let checkpoint_and_stop hook st at =
+  match hook with
+  | None -> false
+  | Some h ->
+      let write reason =
+        st.last_checkpoint <- at;
+        h.write ~reason (to_checkpoint st)
+      in
+      if h.request () then begin
+        write Requested;
+        true
+      end
+      else begin
+        (match h.every with
+        | Some every when at -. st.last_checkpoint >= every -> write Scheduled
+        | Some _ | None -> ());
+        false
+      end
+
+(* The outcome once the loop has stopped. The event loop discards
+   anything past [duration], so sample once more so the trace's last
+   row is the state at the end of the run, and report still-open
+   episodes as unresolved. An interrupted run skips both: the resumed
+   run produces them. *)
+let observe env st ~interrupted =
+  if (not interrupted) && st.last_sample < env.config.duration then
+    ignore (sample_metrics env st env.config.duration);
+  let unresolved episode = if interrupted then [] else Option.to_list episode in
+  let _, final_world, final_assignment = snapshot env st in
   {
-    trace;
-    reassignments = !reassignments;
+    trace = st.trace;
+    reassignments = st.reassignments;
     final_world;
     final_assignment;
     faults =
       {
-        crashes = !crashes;
-        recoveries = !recoveries;
-        degradations = !degradations;
-        link_cuts = !link_cuts;
-        link_restores = !link_restores;
-        link_degradations = !link_degradations;
-        failovers = !failovers;
-        retries = !retries;
-        shed_peak = !shed_peak;
-        zone_migrations = !zone_migrations;
-        episodes = List.rev !episodes;
-        partitions = List.rev !partitions;
-        invariant_violations = !invariant_violations;
+        st.faults with
+        episodes = st.faults.episodes @ unresolved st.open_crash;
+        partitions = st.faults.partitions @ unresolved st.open_partition;
       };
-    interrupted = !interrupted;
+    interrupted;
   }
+
+let rec loop ?hook env st =
+  match Event_queue.next st.queue with
+  | None -> observe env st ~interrupted:false
+  | Some (at, _) when at > env.config.duration -> observe env st ~interrupted:false
+  | Some (at, event) ->
+      step env st at event;
+      if checkpoint_and_stop hook st at then observe env st ~interrupted:true
+      else loop ?hook env st
 
 let run ?checkpoint rng config ~world ~algorithm =
   Cap_obs.Span.with_span "dve_sim/run" (fun () ->
-      run_body ?hook:checkpoint rng config ~world ~algorithm ~start:`Fresh)
+      let env = env config ~world ~algorithm in
+      loop ?hook:checkpoint env (init env rng))
 
 let resume ?checkpoint config ~world ~algorithm ck =
-  let rng = Rng.of_state ck.ck_rng in
   Cap_obs.Span.with_span "dve_sim/resume" (fun () ->
-      run_body ?hook:checkpoint rng config ~world ~algorithm ~start:(`Restore ck))
+      let env = env config ~world ~algorithm in
+      loop ?hook:checkpoint env (of_checkpoint env ck))

@@ -18,8 +18,9 @@
     re-homed with exponential-backoff retries; clients whose contact
     can no longer reach their target are re-homed by the same path).
     After every fault event the structural invariants — including that
-    no assignment crosses a backbone partition — are checked and
-    recorded, and partition episodes are tracked.
+    no assignment crosses a backbone partition — are checked with
+    {!Cap_model.Assignment.violations} (capacity off) and recorded,
+    and partition episodes are tracked.
 
     This extends the paper's one-shot join/leave/move experiment
     (Table 3) into a continuous-time setting. *)
@@ -137,13 +138,15 @@ type outcome = {
 
 (** {1 Checkpointing}
 
-    A {!checkpoint} is the full event-loop state as plain data —
+    The simulator is a state machine over one state record: the RNG,
     clients, zone targets, pending events (arrivals, samples, faults,
-    retries), health mask including per-link state, RNG state, trace
-    so far, episode (crash and partition) and telemetry bookkeeping. Together with the original [config],
-    [world] and [algorithm], it determines the rest of the run
-    exactly: {!resume} produces the same trace, bit for bit, as the
-    uninterrupted run would have. *)
+    retries), health mask including per-link state, trace so far,
+    fault counters, open crash and partition episodes, and telemetry
+    values. A {!checkpoint} is a deep copy of that record, with the
+    event queue in its closure-free {!Event_queue.dump} form. Together
+    with the original [config], [world] and [algorithm], it determines
+    the rest of the run exactly: {!resume} produces the same trace,
+    bit for bit, as the uninterrupted run would have. *)
 
 type checkpoint
 
@@ -198,6 +201,7 @@ val resume :
     originally generated — the live population is carried by the
     checkpoint); the RNG is restored from the captured state.
     Deterministic: the outcome's trace equals the uninterrupted run's
-    trace, including the prefix recorded before the checkpoint.
-    Raises [Invalid_argument] when the checkpoint's dimensions do not
-    match the world. *)
+    trace, including the prefix recorded before the checkpoint, also
+    when the checkpoint was itself written by a resumed run. Raises
+    [Invalid_argument] when the checkpoint's dimensions do not match
+    the world or its event queue is inconsistent. *)

@@ -1,6 +1,7 @@
 (** Snapshot of one [capsim serve] daemon: the recipe to rebuild the
     base world deterministically, the engine configuration, and the
-    engine's captured state (format v4).
+    engine's captured state, in the envelope format shared with
+    {!Sim_run} ({!Envelope.format_version}).
 
     Like {!Sim_run}, the world is not serialised: the spec records
     scenario notation, seed and a content {!Sim_run.fingerprint} of

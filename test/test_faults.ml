@@ -3,7 +3,6 @@ module World = Cap_model.World
 module Health = Cap_model.Health
 module Assignment = Cap_model.Assignment
 module Fault = Cap_faults.Fault
-module Invariants = Cap_faults.Invariants
 module Sim = Cap_sim.Dve_sim
 module Policy = Cap_sim.Policy
 module Trace = Cap_sim.Trace
@@ -419,31 +418,65 @@ let test_refresh_all_dead_sheds_everything () =
 (* ------------------------------------------------------------------ *)
 (* invariant checker                                                   *)
 
+let contains ~needle haystack =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length haystack && (String.sub haystack i n = needle || go (i + 1))
+  in
+  go 0
+
+(* One assignment per class of the merged checker. Each bad case names
+   a fragment of the violation its own clause reports, so dropping any
+   clause fails a case even where a later clause would also object. *)
 let test_invariants_flag_bad_states () =
   let w = Fixtures.standard () in
-  let h = Health.create ~servers:2 in
-  let a = Assignment.make ~target_of_zone:[| 0; 1 |] ~contact_of_client:[| 0; 0; 1; 1 |] in
-  Alcotest.(check (list string)) "healthy state passes" []
-    (Invariants.check ~world:(Health.apply h w) ~health:h ~assignment:a);
-  Health.crash h 1;
-  let dead_world = Health.apply h w in
-  Alcotest.(check bool) "zone on dead server flagged" true
-    (Invariants.check ~world:dead_world ~health:h ~assignment:a <> []);
-  (* shedding the orphaned zone and its clients satisfies the checker *)
-  let shed =
-    Assignment.make
-      ~target_of_zone:[| 0; Assignment.unassigned |]
-      ~contact_of_client:[| 0; 0; Assignment.unassigned; Assignment.unassigned |]
+  let u = Assignment.unassigned in
+  let healthy = Health.create ~servers:2 in
+  let crashed = Health.create ~servers:2 in
+  Health.crash crashed 1;
+  let blackout = Health.create ~servers:2 in
+  Health.crash blackout 0;
+  Health.crash blackout 1;
+  let cut = Health.create ~servers:2 in
+  Health.cut_link cut 0 1;
+  (* 1 bit/s per server: any hosted zone overloads it *)
+  let tight = Fixtures.standard ~capacities:[| 1.; 1. |] () in
+  let cases =
+    [
+      ("healthy", healthy, w, true, [| 0; 1 |], [| 0; 0; 1; 1 |], None);
+      ("fully shed", blackout, Health.apply blackout w, true, [| u; u |], [| u; u; u; u |], None);
+      ("out-of-range target", healthy, w, true, [| 0; 2 |], [| 0; 0; 1; 1 |],
+       Some "zone 1 assigned to invalid server 2");
+      ("out-of-range contact", healthy, w, true, [| 0; 1 |], [| 0; 0; 1; 7 |],
+       Some "client 3 assigned to invalid server 7");
+      ("mask width", Health.create ~servers:3, w, true, [| 0; 1 |], [| 0; 0; 1; 1 |],
+       Some "health mask covers 3 servers");
+      ("dead target", crashed, Health.apply crashed w, true, [| 0; 1 |], [| 0; 0; 1; 1 |],
+       Some "zone 1 targets dead server 1");
+      ("dead contact", crashed, Health.apply crashed w, true, [| 0; 0 |], [| 0; 0; 0; 1 |],
+       Some "client 3 contacts dead server 1");
+      ("shed client of a hosted zone", healthy, w, true, [| 0; 1 |], [| 0; 0; 1; u |],
+       Some "client 3 contact -1 inconsistent");
+      ("contact in a shed zone", healthy, w, true, [| 0; u |], [| 0; 0; 1; u |],
+       Some "client 2 contact 1 inconsistent");
+      ("contact across a cut link", cut, Health.apply cut w, true, [| 0; 1 |], [| 0; 0; 0; 1 |],
+       Some "client 2 contacts server 0, which cannot reach target 1 (partition)");
+      ("overload, capacity on", healthy, tight, true, [| 0; 1 |], [| 0; 0; 1; 1 |],
+       Some "exceeds capacity");
+      ("overload, capacity off", healthy, tight, false, [| 0; 1 |], [| 0; 0; 1; 1 |], None);
+    ]
   in
-  Alcotest.(check (list string)) "shed state passes" []
-    (Invariants.check ~world:dead_world ~health:h ~assignment:shed);
-  (* a client shed without its zone (or vice versa) is inconsistent *)
-  let inconsistent =
-    Assignment.make ~target_of_zone:[| 0; Assignment.unassigned |]
-      ~contact_of_client:[| 0; 0; 0; 0 |]
-  in
-  Alcotest.(check bool) "half-shed flagged" true
-    (Invariants.check ~world:dead_world ~health:h ~assignment:inconsistent <> [])
+  List.iter
+    (fun (name, health, world, capacity, target_of_zone, contact_of_client, expect) ->
+      let a = Assignment.make ~target_of_zone ~contact_of_client in
+      let found = Assignment.violations ~health ~capacity a world in
+      match expect with
+      | None -> Alcotest.(check (list string)) name [] found
+      | Some needle ->
+          if not (List.exists (contains ~needle) found) then
+            Alcotest.failf "%s: expected a violation mentioning %S, got [%s]" name needle
+              (String.concat "; " found))
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* end-to-end chaos runs                                               *)

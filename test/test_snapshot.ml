@@ -406,20 +406,75 @@ let test_spec_resume_aggregated () =
     "aggregated and per-client traces differ" false
     (Trace.points exact.Dve_sim.trace = Trace.points reference.Dve_sim.trace)
 
+(* Every earlier payload layout is refused, not misread: v4 predates
+   the aggregated solver's [buckets], v5 the simulator's state record. *)
 let test_old_version_refused () =
   with_temp_file @@ fun path ->
   let _, checkpoints = run_with_checkpoints sim_config 1 in
   let snapshot = { Sim_run.spec = spec_of 1; state = List.hd checkpoints } in
   ignore (Sim_run.save ~path snapshot);
-  (* the version is the big-endian int32 right after the 8-byte magic *)
-  let raw = Bytes.of_string (read_file path) in
-  Bytes.set_int32_be raw 8 4l;
-  write_file path (Bytes.to_string raw);
-  match Sim_run.load ~path with
-  | Error (Envelope.Unsupported_version { found = 4; expected; _ }) ->
-      Alcotest.(check int) "expects the current version" Envelope.format_version expected
-  | Ok _ -> Alcotest.fail "read a version-4 snapshot at the current payload type"
-  | Error e -> Alcotest.failf "unexpected error: %s" (Envelope.describe e)
+  let current = read_file path in
+  List.iter
+    (fun old ->
+      (* the version is the big-endian int32 right after the 8-byte magic *)
+      let raw = Bytes.of_string current in
+      Bytes.set_int32_be raw 8 (Int32.of_int old);
+      write_file path (Bytes.to_string raw);
+      match Sim_run.load ~path with
+      | Error (Envelope.Unsupported_version { found; expected; _ }) ->
+          Alcotest.(check int) "reports the file's version" old found;
+          Alcotest.(check int) "expects the current version" Envelope.format_version expected
+      | Ok _ -> Alcotest.failf "read a version-%d snapshot at the current payload type" old
+      | Error e -> Alcotest.failf "unexpected error: %s" (Envelope.describe e))
+    [ 4; 5 ]
+
+(* A resumed run that checkpoints again, resumed once more from its own
+   checkpoint, still ends exactly as the uninterrupted run: capsim
+   resume keeps checkpointing to the same file, so a run preempted twice
+   takes this path. Each hop goes through save and load. *)
+let check_chained_resume config seed =
+  let reference, hops = run_with_checkpoints config seed in
+  let through_disk ck =
+    with_temp_file @@ fun path ->
+    (match Sim_run.save ~path { Sim_run.spec = spec_of seed; state = ck } with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "save failed: %s" (Envelope.describe e));
+    match Sim_run.load ~path with
+    | Ok loaded -> loaded.Sim_run.state
+    | Error e -> Alcotest.failf "load failed: %s" (Envelope.describe e)
+  in
+  let second = ref [] in
+  let hook =
+    {
+      Dve_sim.every = Some 70.;
+      request = (fun () -> false);
+      write = (fun ~reason:_ ck -> second := ck :: !second);
+    }
+  in
+  let resumed =
+    Dve_sim.resume ~checkpoint:hook config ~world:(make_world seed) ~algorithm
+      (through_disk (List.hd hops))
+  in
+  let last = match !second with ck :: _ -> ck | [] -> Alcotest.fail "no second checkpoint" in
+  Alcotest.(check bool)
+    "second checkpoint later than the first" true
+    (Dve_sim.checkpoint_time last > Dve_sim.checkpoint_time (List.hd hops));
+  let chained = Dve_sim.resume config ~world:(make_world seed) ~algorithm (through_disk last) in
+  List.iter
+    (fun (name, (outcome : Dve_sim.outcome)) ->
+      Alcotest.(check bool)
+        (name ^ ": trace identical") true
+        (Trace.points outcome.Dve_sim.trace = Trace.points reference.Dve_sim.trace);
+      Alcotest.(check bool)
+        (name ^ ": fault report identical") true
+        (outcome.Dve_sim.faults = reference.Dve_sim.faults);
+      Alcotest.(check int) (name ^ ": reassignments") reference.Dve_sim.reassignments
+        outcome.Dve_sim.reassignments)
+    [ ("first resume", resumed); ("second resume", chained) ]
+
+let test_chained_resume () =
+  check_chained_resume sim_config 3;
+  check_chained_resume chaos_config 4
 
 let tests =
   [
@@ -434,7 +489,7 @@ let tests =
         case "missing file" test_envelope_missing_file;
         case "atomic write keeps the previous snapshot" test_envelope_atomic_write;
         case "no tmp left behind" test_envelope_no_tmp_left_behind;
-        case "version 4 refused" test_old_version_refused;
+        case "old versions refused" test_old_version_refused;
       ] );
     ( "snapshot/resume",
       [
@@ -448,5 +503,6 @@ let tests =
         case "spec config: sim with roam, flash and diurnal" test_spec_resume_sim;
         case "spec config: chaos with faults" test_spec_resume_chaos;
         case "spec config: aggregated sim" test_spec_resume_aggregated;
+        case "chained resume: sim and chaos" test_chained_resume;
       ] );
   ]
