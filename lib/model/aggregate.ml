@@ -12,7 +12,6 @@ type t = {
   zone_group_off : int array;
   group_off : int array;
   group_clients : int array;
-  group_of_client : int array;
   gs_rtt : World.f32;
   gs_rtt_true : World.f32;
 }
@@ -166,7 +165,6 @@ let build rng ?(buckets = default_buckets) world =
     group_off.(g + 1) <- group_off.(g) + group_weight.(g)
   done;
   let group_clients = Array.make k 0 in
-  let group_of_client = Array.make k 0 in
   let cursor = Array.copy group_off in
   for cl = 0 to k - 1 do
     let key =
@@ -174,17 +172,8 @@ let build rng ?(buckets = default_buckets) world =
       + bucket_of_node.(world.World.client_nodes.(cl))
     in
     let g = gid_of_key.(key) in
-    group_of_client.(cl) <- g;
     group_clients.(cursor.(g)) <- cl;
     cursor.(g) <- cursor.(g) + 1
-  done;
-  (* Per-(zone, node) client counts, so a group row is a weighted mean
-     over the nodes of its bucket instead of a sum over its members:
-     O(zones * nodes * m) instead of O(k * m). *)
-  let zn_count = Array.make (zones * nodes) 0 in
-  for cl = 0 to k - 1 do
-    let i = (world.World.client_zones.(cl) * nodes) + world.World.client_nodes.(cl) in
-    zn_count.(i) <- zn_count.(i) + 1
   done;
   let bucket_nodes_off = Array.make (buckets + 1) 0 in
   Array.iter (fun b -> bucket_nodes_off.(b + 1) <- bucket_nodes_off.(b + 1) + 1) bucket_of_node;
@@ -203,33 +192,50 @@ let build rng ?(buckets = default_buckets) world =
     (fun key n -> if n > 0 then group_bucket.(gid_of_key.(key)) <- key mod buckets)
     key_count;
   (* Weighted mean RTT per (group, server), accumulated in double over
-     ascending node id, stored f32. Row-parallel: one group per task,
+     ascending node id, stored f32. A group row is a weighted mean over
+     the nodes of its bucket instead of a sum over its members:
+     O(nnz(zone, node) * m) instead of O(k * m). Zone-parallel: each
+     task counts its zone's members by node from the zone's contiguous
+     slice of the member CSR, then fills the zone's groups;
      deterministic at any pool size. When every group is a single
      (zone, node) class — buckets >= nodes — the mean of n identical
      f32 values is exact, which is what makes aggregation lossless on
-     small worlds. *)
-  let fill_gs ns =
+     small worlds. [ns] is annotated so the Bigarray reads compile to
+     unboxed loads. *)
+  let client_nodes = world.World.client_nodes in
+  let fill_gs (ns : World.f32) =
     let m = Bigarray.Array1.create Bigarray.Float32 Bigarray.C_layout (groups * servers) in
-    let pool = Pool.default () in
-    Pool.parallel_for pool ~n:groups (fun g ->
-        let z = group_zone.(g) and b = group_bucket.(g) in
-        let acc = Array.make servers 0. in
-        for i = bucket_nodes_off.(b) to bucket_nodes_off.(b + 1) - 1 do
-          let node = bucket_nodes.(i) in
-          let count = zn_count.((z * nodes) + node) in
-          if count > 0 then begin
-            let weight = float_of_int count in
-            let base = node * servers in
+    Pool.parallel_for (Pool.default ()) ~n:zones (fun z ->
+        let g0 = zone_group_off.(z) and g1 = zone_group_off.(z + 1) in
+        if g1 > g0 then begin
+          let node_count = Array.make nodes 0 in
+          for i = group_off.(g0) to group_off.(g1) - 1 do
+            let node = client_nodes.(group_clients.(i)) in
+            node_count.(node) <- node_count.(node) + 1
+          done;
+          let acc = Array.make servers 0. in
+          for g = g0 to g1 - 1 do
+            let b = group_bucket.(g) in
+            Array.fill acc 0 servers 0.;
+            for i = bucket_nodes_off.(b) to bucket_nodes_off.(b + 1) - 1 do
+              let node = bucket_nodes.(i) in
+              let count = node_count.(node) in
+              if count > 0 then begin
+                let weight = float_of_int count in
+                let base = node * servers in
+                for s = 0 to servers - 1 do
+                  Array.unsafe_set acc s
+                    (Array.unsafe_get acc s +. (weight *. Bigarray.Array1.unsafe_get ns (base + s)))
+                done
+              end
+            done;
+            let weight = float_of_int group_weight.(g) in
+            let base = g * servers in
             for s = 0 to servers - 1 do
-              acc.(s) <- acc.(s) +. (weight *. Bigarray.Array1.unsafe_get ns (base + s))
+              Bigarray.Array1.unsafe_set m (base + s) (Array.unsafe_get acc s /. weight)
             done
-          end
-        done;
-        let weight = float_of_int group_weight.(g) in
-        let base = g * servers in
-        for s = 0 to servers - 1 do
-          Bigarray.Array1.unsafe_set m (base + s) (acc.(s) /. weight)
-        done);
+          done
+        end);
     m
   in
   let gs_rtt_true = fill_gs c.World.ns_rtt_true in
@@ -247,12 +253,6 @@ let build rng ?(buckets = default_buckets) world =
     zone_group_off;
     group_off;
     group_clients;
-    group_of_client;
     gs_rtt;
     gs_rtt_true;
   }
-
-let expand t ~contact_of_group =
-  if Array.length contact_of_group <> t.groups then
-    invalid_arg "Aggregate.expand: contact_of_group does not match the groups";
-  Array.map (fun g -> contact_of_group.(g)) t.group_of_client

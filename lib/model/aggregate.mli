@@ -9,8 +9,8 @@
     Vivaldi coordinates, each group carries its member count as
     weight, and each group's server RTT row is the weighted mean of
     its members' node rows. Solvers then run over thousands of groups
-    instead of millions of clients and expand back to per-client
-    assignments ({!Cap_core.Agg_solve}).
+    instead of millions of clients, and {!Cap_core.Agg_solve} writes
+    per-client contacts from each group's member list.
 
     When [buckets >= nodes] every group is a single (zone, node)
     equivalence class, the weighted mean degenerates to the exact node
@@ -19,7 +19,10 @@
 
     Building an aggregation never touches the k x m matrices: group
     rows are computed from the cached node x server rows in
-    O(zones * nodes * m). *)
+    O(clients + nnz(zone, node) * m), where nnz(zone, node) is the
+    number of occupied (zone, node) pairs (plus a scan of integer
+    counts over each group's bucket nodes). Members are counted by
+    node one zone at a time, so no zones x nodes table is built. *)
 
 type t = private {
   world : World.t;
@@ -33,7 +36,6 @@ type t = private {
           [zone_group_off.(z) .. zone_group_off.(z+1) - 1] *)
   group_off : int array;  (** member CSR offsets, length groups + 1 *)
   group_clients : int array;  (** member CSR payload, ascending ids *)
-  group_of_client : int array;  (** client -> its group *)
   gs_rtt : World.f32;
       (** observed group-server RTT, [group * servers + server]:
           weighted mean of the member nodes' cached rows *)
@@ -55,8 +57,3 @@ val group_count : t -> int
 
 val members : t -> int -> int array
 (** Client ids of one group, ascending. *)
-
-val expand : t -> contact_of_group:int array -> int array
-(** Per-client contacts from one contact per group (the lossless
-    expand-back for solvers that do not split groups). Raises
-    [Invalid_argument] on a length mismatch. *)

@@ -22,9 +22,6 @@ let validate params n =
   if params.ce <= 0. || params.cc <= 0. then invalid_arg "Vivaldi: gains must be positive";
   if n < 2 then invalid_arg "Vivaldi: need at least 2 nodes"
 
-let norm v =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v)
-
 let coordinate_distance a b =
   let acc = ref 0. in
   Array.iteri (fun i ai -> acc := !acc +. ((ai -. b.(i)) *. (ai -. b.(i)))) a;
@@ -48,11 +45,23 @@ let embed rng ?(params = default_params) delay =
         (* indices skip the node itself *)
         Array.map (fun j -> if j >= i then j + 1 else j) chosen)
   in
+  (* One scratch direction for every update and plain loops, so an
+     update allocates nothing. [dist] sums its squares in ascending
+     dimension order, as [coordinate_distance] does; the oracle in
+     test/oracle.ml pins the coordinates bit for bit. *)
+  let dims = params.dimensions in
+  let direction = Array.make dims 0. in
   let update i j =
     let rtt = Delay.rtt delay i j in
     if rtt > 0. then begin
       let xi = coordinates.(i) and xj = coordinates.(j) in
-      let dist = coordinate_distance xi xj in
+      let sq = ref 0. in
+      for d = 0 to dims - 1 do
+        let v = xi.(d) -. xj.(d) in
+        direction.(d) <- v;
+        sq := !sq +. (v *. v)
+      done;
+      let dist = sqrt !sq in
       (* confidence weight: how much node i trusts itself vs j *)
       let w =
         if errors.(i) +. errors.(j) = 0. then 0.5 else errors.(i) /. (errors.(i) +. errors.(j))
@@ -61,20 +70,26 @@ let embed rng ?(params = default_params) delay =
       errors.(i) <- (sample_error *. params.ce *. w) +. (errors.(i) *. (1. -. (params.ce *. w)));
       let timestep = params.cc *. w in
       (* unit vector from j towards i; random direction if coincident *)
-      let direction = Array.make params.dimensions 0. in
-      Array.iteri (fun d xid -> direction.(d) <- xid -. xj.(d)) xi;
-      let len = norm direction in
-      if len > 1e-12 then
-        Array.iteri (fun d v -> direction.(d) <- v /. len) direction
+      if dist > 1e-12 then
+        for d = 0 to dims - 1 do
+          direction.(d) <- direction.(d) /. dist
+        done
       else
-        Array.iteri (fun d _ -> direction.(d) <- Rng.float_in rng (-1.) 1.) direction;
+        for d = 0 to dims - 1 do
+          direction.(d) <- Rng.float_in rng (-1.) 1.
+        done;
       let force = timestep *. (rtt -. dist) in
-      Array.iteri (fun d v -> xi.(d) <- v +. (force *. direction.(d))) xi
+      for d = 0 to dims - 1 do
+        xi.(d) <- xi.(d) +. (force *. direction.(d))
+      done
     end
   in
   for _ = 1 to params.rounds do
     for i = 0 to n - 1 do
-      Array.iter (fun j -> update i j) neighbor_sets.(i)
+      let neighbors = neighbor_sets.(i) in
+      for k = 0 to Array.length neighbors - 1 do
+        update i neighbors.(k)
+      done
     done
   done;
   { coordinates; errors }

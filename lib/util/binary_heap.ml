@@ -1,17 +1,22 @@
+(* The backing array is [[||]] while the heap is empty and is only
+   ever made from an element that was added, so a float heap gets a
+   flat float array from the start and every slot holds a real value
+   of the element type. Slots past [size] may still reference an
+   element until they are overwritten or the heap empties. *)
 type 'a t = {
   cmp : 'a -> 'a -> int;
+  capacity : int;  (** length of the first backing array *)
   mutable data : 'a array;
   mutable size : int;
 }
 
-let create ?(capacity = 16) ~cmp () =
-  { cmp; data = Array.make (max capacity 1) (Obj.magic 0); size = 0 }
+let create ?(capacity = 16) ~cmp () = { cmp; capacity = max capacity 1; data = [||]; size = 0 }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-let grow t =
-  let data = Array.make (2 * Array.length t.data) t.data.(0) in
+let grow t x =
+  let data = Array.make (max t.capacity (2 * Array.length t.data)) x in
   Array.blit t.data 0 data 0 t.size;
   t.data <- data
 
@@ -38,15 +43,14 @@ let rec sift_down t i =
   end
 
 let add t x =
-  if t.size = Array.length t.data then grow t;
+  if t.size = Array.length t.data then grow t x;
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
 let of_array ~cmp a =
   let size = Array.length a in
-  let data = if size = 0 then Array.make 1 (Obj.magic 0) else Array.copy a in
-  let t = { cmp; data; size } in
+  let t = { cmp; capacity = max size 1; data = Array.copy a; size } in
   for i = (size / 2) - 1 downto 0 do
     sift_down t i
   done;
@@ -59,9 +63,11 @@ let pop t =
   else begin
     let top = t.data.(0) in
     t.size <- t.size - 1;
-    t.data.(0) <- t.data.(t.size);
-    t.data.(t.size) <- Obj.magic 0;
-    if t.size > 0 then sift_down t 0;
+    if t.size = 0 then t.data <- [||]
+    else begin
+      t.data.(0) <- t.data.(t.size);
+      sift_down t 0
+    end;
     Some top
   end
 

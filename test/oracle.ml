@@ -3,7 +3,10 @@
    client row came from the dense client x server tier. Kept verbatim
    (less its metrics counters) as the oracle the allocation-free
    solvers in Cap_core must match array for array; see
-   test_oracle.ml. *)
+   test_oracle.ml. Below it, the Vivaldi embedding as it stood with a
+   fresh direction array and closures per update: the oracle the
+   allocation-free Cap_topology.Vivaldi.embed must match bit for bit
+   (test_vivaldi.ml). *)
 
 module World = Cap_model.World
 module Traffic = Cap_model.Traffic
@@ -552,4 +555,88 @@ module Agg_solve = struct
         done)
       items;
     contacts
+end
+
+module Vivaldi = struct
+  module Rng = Cap_util.Rng
+  module Delay = Cap_topology.Delay
+
+  type params = Cap_topology.Vivaldi.params = {
+    dimensions : int;
+    rounds : int;
+    neighbors : int;
+    ce : float;
+    cc : float;
+  }
+
+  let default_params = { dimensions = 3; rounds = 60; neighbors = 16; ce = 0.25; cc = 0.25 }
+
+  type t = Cap_topology.Vivaldi.t = {
+    coordinates : float array array;
+    errors : float array;
+  }
+
+  let validate params n =
+    if params.dimensions <= 0 then invalid_arg "Vivaldi: dimensions must be positive";
+    if params.rounds <= 0 then invalid_arg "Vivaldi: rounds must be positive";
+    if params.neighbors <= 0 then invalid_arg "Vivaldi: neighbors must be positive";
+    if params.ce <= 0. || params.cc <= 0. then invalid_arg "Vivaldi: gains must be positive";
+    if n < 2 then invalid_arg "Vivaldi: need at least 2 nodes"
+
+  let norm v =
+    sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. v)
+
+  let coordinate_distance a b =
+    let acc = ref 0. in
+    Array.iteri (fun i ai -> acc := !acc +. ((ai -. b.(i)) *. (ai -. b.(i)))) a;
+    sqrt !acc
+
+  let embed rng ?(params = default_params) delay =
+    let n = Delay.node_count delay in
+    validate params n;
+    (* Small random initial coordinates break the symmetry of starting
+       everyone at the origin. *)
+    let coordinates =
+      Array.init n (fun _ ->
+          Array.init params.dimensions (fun _ -> Rng.float_in rng (-1.) 1.))
+    in
+    let errors = Array.make n 1. in
+    (* Fixed random neighbor sets, as a deployment would have. *)
+    let neighbor_sets =
+      Array.init n (fun i ->
+          let k = min params.neighbors (n - 1) in
+          let chosen = Rng.sample_distinct rng ~k ~n:(n - 1) in
+          (* indices skip the node itself *)
+          Array.map (fun j -> if j >= i then j + 1 else j) chosen)
+    in
+    let update i j =
+      let rtt = Delay.rtt delay i j in
+      if rtt > 0. then begin
+        let xi = coordinates.(i) and xj = coordinates.(j) in
+        let dist = coordinate_distance xi xj in
+        (* confidence weight: how much node i trusts itself vs j *)
+        let w =
+          if errors.(i) +. errors.(j) = 0. then 0.5 else errors.(i) /. (errors.(i) +. errors.(j))
+        in
+        let sample_error = abs_float (dist -. rtt) /. rtt in
+        errors.(i) <- (sample_error *. params.ce *. w) +. (errors.(i) *. (1. -. (params.ce *. w)));
+        let timestep = params.cc *. w in
+        (* unit vector from j towards i; random direction if coincident *)
+        let direction = Array.make params.dimensions 0. in
+        Array.iteri (fun d xid -> direction.(d) <- xid -. xj.(d)) xi;
+        let len = norm direction in
+        if len > 1e-12 then
+          Array.iteri (fun d v -> direction.(d) <- v /. len) direction
+        else
+          Array.iteri (fun d _ -> direction.(d) <- Rng.float_in rng (-1.) 1.) direction;
+        let force = timestep *. (rtt -. dist) in
+        Array.iteri (fun d v -> xi.(d) <- v +. (force *. direction.(d))) xi
+      end
+    in
+    for _ = 1 to params.rounds do
+      for i = 0 to n - 1 do
+        Array.iter (fun j -> update i j) neighbor_sets.(i)
+      done
+    done;
+    { coordinates; errors }
 end

@@ -47,6 +47,58 @@ let test_growth () =
   Alcotest.(check int) "length after growth" 100 (Heap.length h);
   Alcotest.(check (option int)) "min" (Some 1) (Heap.pop h)
 
+(* The sorted-list model's insert: O(n) per add, the same list as
+   re-sorting [x :: model]. *)
+let rec insert x = function
+  | y :: rest when compare y x < 0 -> y :: insert x rest
+  | model -> x :: model
+
+(* Floats are stored flat, so a backing array padded with a non-float
+   placeholder crashes the first time it grows or a pop clears a
+   slot. *)
+let test_float_heap () =
+  let h = Heap.create ~capacity:1 ~cmp:Float.compare () in
+  List.iter (Heap.add h) [ 2.5; -1.; 7.25; 0.; 3. ];
+  Alcotest.(check (option (float 0.))) "pop" (Some (-1.)) (Heap.pop h);
+  Heap.add h 1.5;
+  Alcotest.(check (list (float 0.))) "sorted drain" [ 0.; 1.5; 2.5; 3.; 7.25 ] (Heap.drain h);
+  Heap.add h 4.;
+  Alcotest.(check (list (float 0.))) "reused after emptying" [ 4. ] (Heap.drain h)
+
+let prop_float_model =
+  (* A float heap from of_array or from create at capacity 2-4, then
+     random add/pop interleavings. Float.compare ties 0. with -0., so
+     the model checks order, not bits. *)
+  let same a b = Float.compare a b = 0 in
+  QCheck.Test.make ~name:"float add/pop/of_array matches model" ~count:200
+    QCheck.(triple (int_range 1 4) (small_list float) (small_list (option float)))
+    (fun (capacity, init, ops) ->
+      let model = ref (List.sort compare init) in
+      let h =
+        if capacity = 1 then Heap.of_array ~cmp:Float.compare (Array.of_list init)
+        else begin
+          let h = Heap.create ~capacity ~cmp:Float.compare () in
+          List.iter (Heap.add h) init;
+          h
+        end
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Some x ->
+              Heap.add h x;
+              model := insert x !model;
+              true
+          | None -> (
+              let popped = Heap.pop h in
+              match !model with
+              | [] -> popped = None
+              | m :: rest ->
+                  model := rest;
+                  Option.equal same popped (Some m)))
+        ops
+      && List.equal same (Heap.drain h) !model)
+
 let prop_drain_sorted =
   QCheck.Test.make ~name:"drain is sorted" ~count:200
     QCheck.(list int)
@@ -67,7 +119,7 @@ let prop_interleaved_matches_model =
           match op with
           | Some x ->
               Heap.add h x;
-              model := List.sort compare (x :: !model);
+              model := insert x !model;
               true
           | None -> (
               let popped = Heap.pop h in
@@ -90,7 +142,7 @@ let prop_elements_multiset =
         (function
           | Some x ->
               Heap.add h x;
-              model := List.sort compare (x :: !model)
+              model := insert x !model
           | None -> (
               match Heap.pop h, !model with
               | None, [] -> ()
@@ -111,8 +163,10 @@ let tests =
         case "of_array" test_of_array;
         case "custom order" test_custom_order;
         case "growth" test_growth;
+        case "float heap from capacity 1" test_float_heap;
         QCheck_alcotest.to_alcotest prop_drain_sorted;
         QCheck_alcotest.to_alcotest prop_interleaved_matches_model;
         QCheck_alcotest.to_alcotest prop_elements_multiset;
+        QCheck_alcotest.to_alcotest prop_float_model;
       ] );
   ]

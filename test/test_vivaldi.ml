@@ -118,6 +118,51 @@ let prop_deterministic =
       done;
       !ok)
 
+(* Every pair of nodes 1e-20 ms apart: the nodes are duplicates of
+   one location, the embedding collapses them onto one point, and the
+   coincident-coordinate branch draws random directions. *)
+let colocated_delays n =
+  Delay.of_matrix (Array.init n (fun u -> Array.init n (fun v -> if u = v then 0. else 1e-20)))
+
+(* A random symmetric delay space, triangle inequality not enforced. *)
+let random_delays rng n =
+  let m = Array.make_matrix n n 0. in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let d = Rng.float_in rng 1. 300. in
+      m.(u).(v) <- d;
+      m.(v).(u) <- d
+    done
+  done;
+  Delay.of_matrix m
+
+let bits = Int64.bits_of_float
+
+let same_bits (a : Vivaldi.t) (b : Vivaldi.t) =
+  Array.for_all2 (Array.for_all2 (fun x y -> bits x = bits y)) a.Vivaldi.coordinates
+    b.Vivaldi.coordinates
+  && Array.for_all2 (fun x y -> bits x = bits y) a.Vivaldi.errors b.Vivaldi.errors
+
+(* The allocation-free embedding against the closure-based one kept in
+   oracle.ml: the same float operations in the same order and the same
+   rng draws, so coordinates and errors agree bit for bit, and so does
+   what is left of the rng stream. *)
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"embed bit-identical to the oracle" ~count:60
+    QCheck.(triple small_nat (int_range 2 3) (int_range 0 2))
+    (fun (seed, dimensions, family) ->
+      let delay =
+        match family with
+        | 0 -> line_delays 12 25.
+        | 1 -> colocated_delays 8
+        | _ -> random_delays (Rng.create ~seed:(seed + 1000)) 24
+      in
+      let params = { Vivaldi.default_params with Vivaldi.dimensions } in
+      let rng_a = Rng.create ~seed and rng_b = Rng.create ~seed in
+      let a = Vivaldi.embed rng_a ~params delay in
+      let b = Oracle.Vivaldi.embed rng_b ~params delay in
+      same_bits a b && Rng.state rng_a = Rng.state rng_b)
+
 let tests =
   [
     ( "topology/vivaldi",
@@ -130,5 +175,6 @@ let tests =
         case "median error checks" test_median_relative_error_checks;
         case "world integration" test_world_integration;
         QCheck_alcotest.to_alcotest prop_deterministic;
+        QCheck_alcotest.to_alcotest prop_matches_oracle;
       ] );
   ]
