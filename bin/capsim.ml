@@ -1269,7 +1269,7 @@ let serve_main p =
     | Some snap -> Service_run.config snap
     | None -> engine_config p
   in
-  (* set by resolve (or the eager snapshot path), read by the sink *)
+  (* set by resolve (or from the snapshot), read by the sink *)
   let identity = ref None in
   let resolve ~scenario ~seed =
     match p.sv_expect with
@@ -1283,29 +1283,6 @@ let serve_main p =
         identity := Some (scenario, seed, world);
         Ok (Engine.create ~world ~assignment engine_config)
   in
-  (* shared by eager --resume and the snapshot-bootstrapped standby *)
-  let resume_engine snap =
-    let spec = snap.Service_run.spec in
-    let scenario = spec.Service_run.scenario in
-    let seed = spec.Service_run.seed in
-    (match p.sv_expect with
-    | Some want when want <> scenario ->
-        usage (Printf.sprintf "snapshot is for %s, --expect says %s" scenario want)
-    | _ -> ());
-    let parsed =
-      match Validate.scenario_notation scenario with
-      | Ok s -> s
-      | Error issue ->
-          usage (Printf.sprintf "snapshot scenario: %s" (Validate.describe issue))
-    in
-    let world = World.generate (Rng.create ~seed) parsed in
-    identity := Some (scenario, seed, world);
-    match Service_run.resume ~world snap with
-    | Ok engine -> (engine, spec)
-    | Error m -> usage m
-  in
-  (* the live writer, for snapshot-anchored GC from the checkpoint sink *)
-  let wal_ref = ref None in
   let checkpoint_sink =
     match p.sv_ck_path with
     | None -> None
@@ -1313,27 +1290,18 @@ let serve_main p =
         Some
           (fun engine ~wal_records ~response_seq ->
             match !identity with
-            | None -> ()
+            | None -> false
             | Some (scenario, seed, world) -> (
                 let snap =
                   Service_run.of_engine ~wal_position:wal_records ~response_seq
                     ~scenario ~seed ~world engine_config engine
                 in
                 match Service_run.save ~path snap with
-                | Ok () ->
-                    (* the checkpoint is durable: segments wholly below
-                       its WAL position are dead weight *)
-                    Option.iter
-                      (fun w ->
-                        let deleted = Wal.gc w ~covered:wal_records in
-                        if deleted > 0 then
-                          Printf.eprintf
-                            "serve: wal gc: %d segment(s) dropped, %d bytes live\n%!"
-                            deleted (Wal.total_bytes w))
-                      !wal_ref
+                | Ok () -> true
                 | Error e ->
                     Printf.eprintf "checkpoint write failed: %s\n%!"
-                      (Envelope.describe e)))
+                      (Envelope.describe e);
+                    false))
   in
   let daemon_config =
     {
@@ -1345,63 +1313,54 @@ let serve_main p =
     }
   in
   let note fmt = Printf.ksprintf (fun m -> Printf.eprintf "serve: %s\n%!" m) fmt in
-  let new_writer ~path =
-    Wal.create_writer ~fsync_every:p.sv_fsync_every
-      ?segment_bytes:p.sv_segment_bytes ~path ()
+  (* the session: fresh (the hello builds the engine) or the snapshot's *)
+  let session =
+    match snapshot with
+    | None -> Daemon.make_session daemon_config
+    | Some snap -> (
+        match Service_run.resume_session ?expect:p.sv_expect daemon_config snap with
+        | Error m -> usage m
+        | Ok (world, session) ->
+            let spec = snap.Service_run.spec in
+            identity := Some (spec.Service_run.scenario, spec.Service_run.seed, world);
+            session)
   in
-  let reopen ~path =
-    Wal.open_append ~fsync_every:p.sv_fsync_every
-      ?segment_bytes:p.sv_segment_bytes ~path ()
+  (* put it on the WAL: a log that cannot carry the session is refused
+     (exit 2), a record it rejects is a broken log (exit 1) *)
+  let recover ~path =
+    match
+      Daemon.recover ~fsync_every:p.sv_fsync_every
+        ?segment_bytes:p.sv_segment_bytes session ~path
+    with
+    | Ok replayed -> replayed
+    | Error (Daemon.Refused m) -> usage m
+    | Error (Daemon.Replay_failed m) ->
+        broken (Printf.sprintf "WAL replay failed: %s" m)
   in
-  (* --- build the session: fresh, snapshot+WAL recovery, or standby --- *)
-  let build_session () =
-    if p.sv_follow then begin
+  (match p.sv_wal with
+  | None -> ()
+  | Some path when p.sv_follow -> (
       (* hot standby: tail the primary's WAL until promoted (SIGUSR1) *)
-      let wal_path = Option.get p.sv_wal in
       let promote_now = ref false in
       Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> promote_now := true));
       let orphaned () = Unix.getppid () = 1 in
       let rec wait_for_wal () =
-        if (not (Wal.log_exists ~path:wal_path ())) && not !promote_now then begin
+        if (not (Wal.log_exists ~path ())) && not !promote_now then begin
           if orphaned () then exit 0;
           Unix.sleepf 0.02;
           wait_for_wal ()
         end
       in
       wait_for_wal ();
-      if not (Wal.log_exists ~path:wal_path ()) then begin
-        (* promoted before the primary wrote anything: start fresh *)
-        if snapshot <> None then
-          usage
-            "a checkpoint exists but the log is gone; refusing to serve fresh \
-             state over recorded history";
-        note "promoted with no WAL yet; starting fresh";
-        let writer = new_writer ~path:wal_path in
-        wal_ref := Some writer;
-        Daemon.make_session ~wal:writer daemon_config
+      if not (Wal.log_exists ~path ()) then begin
+        (* promoted before the primary wrote anything *)
+        ignore (recover ~path : int);
+        note "promoted with no WAL yet; starting fresh"
       end
       else
-        let follower =
-          match snapshot with
-          | None -> Follower.create daemon_config ~path:wal_path
-          | Some snap ->
-              (* GC may have dropped the log\'s head behind the latest
-                 checkpoint: restore the snapshot and tail from its
-                 recorded WAL position instead of record 0 *)
-              let engine, spec = resume_engine snap in
-              let session =
-                Daemon.resume_session daemon_config ~engine
-                  ~scenario:spec.Service_run.scenario
-                  ~seed:spec.Service_run.seed
-                  ~wal_records:spec.Service_run.wal_position
-                  ~response_seq:spec.Service_run.response_seq
-              in
-              Follower.create ~session ~from:spec.Service_run.wal_position
-                daemon_config ~path:wal_path
-        in
-        match follower with
+        match Follower.create ~session daemon_config ~path with
         | Error m -> usage m
-        | Ok follower ->
+        | Ok follower -> (
             let rec tail () =
               if not !promote_now then begin
                 if orphaned () then exit 0;
@@ -1413,108 +1372,19 @@ let serve_main p =
               end
             in
             tail ();
-            (match
-               Follower.promote follower ~fsync_every:p.sv_fsync_every
-                 ?segment_bytes:p.sv_segment_bytes ()
-             with
+            match
+              Follower.promote follower ~fsync_every:p.sv_fsync_every
+                ?segment_bytes:p.sv_segment_bytes ()
+            with
             | Error m -> broken (Printf.sprintf "promotion failed: %s" m)
             | Ok extra ->
                 note "promoted standby: %d records tailed, %d caught up at promotion"
-                  (Follower.records_applied follower) extra;
-                Follower.session follower)
-    end
-    else
-      match snapshot with
-      | Some snap -> (
-          (* eager resume: the engine must exist before the WAL suffix
-             can replay, so the hello is not what builds it here *)
-          let engine, spec = resume_engine snap in
-          let scenario = spec.Service_run.scenario in
-          let seed = spec.Service_run.seed in
-          let wal, suffix =
-            match p.sv_wal with
-            | None -> (None, [])
-            | Some path ->
-                if not (Wal.log_exists ~path ()) then
-                  usage
-                    (Printf.sprintf
-                       "--resume with --wal %s: the log is missing, so events \
-                        past the snapshot are unrecoverable"
-                       path)
-                else (
-                  match reopen ~path with
-                  | Error e -> usage (Wal.describe_read_error e)
-                  | Ok (writer, records) ->
-                      wal_ref := Some writer;
-                      let base = Wal.base_index writer in
-                      let have = base + List.length records in
-                      if have < spec.Service_run.wal_position then
-                        usage
-                          (Printf.sprintf
-                             "snapshot is ahead of the WAL (%d records recorded, \
-                              %d in the log)"
-                             spec.Service_run.wal_position have)
-                      else if base > spec.Service_run.wal_position then
-                        usage
-                          (Printf.sprintf
-                             "the log was GC\'d past this snapshot (oldest \
-                              surviving record %d, snapshot at %d) — resume \
-                              from the checkpoint that anchored the GC"
-                             base spec.Service_run.wal_position)
-                      else
-                        ( Some writer,
-                          List.filteri
-                            (fun i _ -> base + i >= spec.Service_run.wal_position)
-                            records ))
-          in
-          let session =
-            Daemon.resume_session ?wal daemon_config ~engine ~scenario ~seed
-              ~wal_records:spec.Service_run.wal_position
-              ~response_seq:spec.Service_run.response_seq
-          in
-          match Daemon.replay session suffix with
-          | Ok () ->
-              if suffix <> [] then
-                note "recovered %d WAL records past the snapshot"
-                  (List.length suffix);
-              session
-          | Error m -> broken (Printf.sprintf "WAL replay failed: %s" m))
-      | None -> (
-          match p.sv_wal with
-          | None -> Daemon.make_session daemon_config
-          | Some path ->
-              if not (Wal.log_exists ~path ()) then begin
-                let writer = new_writer ~path in
-                wal_ref := Some writer;
-                Daemon.make_session ~wal:writer daemon_config
-              end
-              else (
-                (* crash recovery from the log alone: replay everything *)
-                match reopen ~path with
-                | Error e -> usage (Wal.describe_read_error e)
-                | Ok (writer, records) -> (
-                    if Wal.base_index writer > 0 then
-                      usage
-                        (Printf.sprintf
-                           "the log was GC\'d (oldest surviving record %d): \
-                            replay from the log alone cannot rebuild the \
-                            engine — pass --resume with the anchoring \
-                            checkpoint"
-                           (Wal.base_index writer));
-                    wal_ref := Some writer;
-                    let session = Daemon.make_session ~wal:writer daemon_config in
-                    match Daemon.replay session records with
-                    | Ok () ->
-                        if records <> [] then
-                          note "recovered %d WAL records" (List.length records);
-                        session
-                    | Error m -> broken (Printf.sprintf "WAL replay failed: %s" m))))
-  in
-  let session =
-    try build_session ()
-    with Wal.Write_error { path; error } ->
-      usage (Printf.sprintf "wal %s: %s" path (Unix.error_message error))
-  in
+                  (Follower.records_applied follower) extra))
+  | Some path ->
+      let replayed = recover ~path in
+      if replayed > 0 then
+        if Option.is_none snapshot then note "recovered %d WAL records" replayed
+        else note "recovered %d WAL records past the snapshot" replayed);
   let result =
     try
       match p.sv_listen with

@@ -30,7 +30,7 @@ type config = {
   resolve : scenario:string -> seed:int -> (Engine.t, string) result;
   checkpoint_every : int option;
   checkpoint_sink :
-    (Engine.t -> wal_records:int -> response_seq:int -> unit) option;
+    (Engine.t -> wal_records:int -> response_seq:int -> bool) option;
   echo_responses : bool;
   resume_window : int;
 }
@@ -79,9 +79,8 @@ let make_session ?wal config =
     degraded = None;
   }
 
-let resume_session ?wal config ~engine ~scenario ~seed ~wal_records ~response_seq
-    =
-  let session = make_session ?wal config in
+let resume_session config ~engine ~scenario ~seed ~wal_records ~response_seq =
+  let session = make_session config in
   session.engine <- Some engine;
   session.identity <- Some (scenario, seed);
   session.started <- Some (Clock.now ());
@@ -94,9 +93,7 @@ let resume_session ?wal config ~engine ~scenario ~seed ~wal_records ~response_se
   session.base_seq <- response_seq;
   session
 
-let set_wal session wal = session.wal <- wal
 let session_engine session = session.engine
-let session_identity session = session.identity
 let wal_records session = session.wal_records
 let response_seq session = session.seq
 let degraded_reason session = session.degraded
@@ -180,11 +177,26 @@ let wal_append session raw =
           reason;
         false
 
+(* Hand the sink a checkpoint at the current position. Once it reports
+   the checkpoint durable, the WAL segments wholly below that position
+   are dead weight: GC them on the session's own writer, so a promoted
+   standby bounds its log exactly like the primary it replaced. *)
+let checkpoint session engine sink =
+  let covered = session.wal_records in
+  if sink engine ~wal_records:covered ~response_seq:session.seq then
+    Option.iter
+      (fun w ->
+        let deleted = Wal.gc w ~covered in
+        if deleted > 0 then
+          Printf.eprintf "serve: wal gc: %d segment(s) dropped, %d bytes live\n%!"
+            deleted (Wal.total_bytes w))
+      session.wal
+
 let maybe_checkpoint session engine =
   match session.config.checkpoint_every, session.config.checkpoint_sink with
   | Some every, Some sink when every > 0 && Engine.events_seen engine mod every = 0
     ->
-      sink engine ~wal_records:session.wal_records ~response_seq:session.seq
+      checkpoint session engine sink
   | _ -> ()
 
 let handle_line session ~send raw =
@@ -305,6 +317,76 @@ let replay session records =
       | [] -> Ok ()
       | ps -> Error (String.concat "; " ps))
 
+type recover_error =
+  | Refused of string
+  | Replay_failed of string
+
+let describe_recover_error = function Refused m | Replay_failed m -> m
+
+(* The one rule for building a session on a log: the log must begin at
+   or before the session's position (GC may only have dropped records
+   the session already holds) and reach at least that far (a standby
+   can have tailed bytes a power cut then lost). Anything else would
+   renumber, duplicate or skip records clients were answered for. *)
+let recover ?(io = Io.real) ~fsync_every ?segment_bytes session ~path =
+  let applied = session.wal_records in
+  if not (Wal.log_exists ~io ~path ()) then
+    if applied > 0 then
+      Error
+        (Refused
+           (Printf.sprintf
+              "the log at %s is missing but this session already applied %d \
+               records; refusing to serve fresh state over recorded history"
+              path applied))
+    else
+      match Wal.create_writer ~io ~fsync_every ?segment_bytes ~path () with
+      | writer ->
+          session.wal <- Some writer;
+          Ok 0
+      | exception (Wal.Write_error { error; _ } | Unix.Unix_error (error, _, _)) ->
+          Error
+            (Refused (Printf.sprintf "wal %s: %s" path (Unix.error_message error)))
+  else
+    (* opening for append truncates a torn tail: new records start on a
+       record boundary *)
+    match Wal.open_append ~io ~fsync_every ?segment_bytes ~path () with
+    | Error e -> Error (Refused (Wal.describe_read_error e))
+    | Ok (writer, records) ->
+        let base = Wal.base_index writer in
+        let on_disk = base + List.length records in
+        let refuse message =
+          Wal.close_writer writer;
+          Error (Refused message)
+        in
+        if base > applied then
+          refuse
+            (Printf.sprintf
+               "the log was GC'd past this session (oldest surviving record %d, \
+                session at %d) — recover from the checkpoint that anchored the \
+                GC"
+               base applied)
+        else if on_disk < applied then
+          refuse
+            (Printf.sprintf
+               "the log holds %d records but this session applied %d — the \
+                tail did not survive on disk; refusing to append after lost \
+                records"
+               on_disk applied)
+        else begin
+          let suffix = List.filteri (fun i _ -> base + i >= applied) records in
+          (* attached before the replay, so checkpoints taken while
+             catching up already GC through it *)
+          session.wal <- Some writer;
+          match replay session suffix with
+          | Error e ->
+              session.wal <- None;
+              Wal.close_writer writer;
+              Error (Replay_failed e)
+          | Ok () ->
+              assert (session.wal_records = Wal.records_written writer);
+              Ok (List.length suffix)
+        end
+
 (* ------------------------------------------------------------------ *)
 (* Channel plumbing                                                    *)
 
@@ -357,10 +439,7 @@ let finish_send session engine ~send =
      replays exactly what the uninterrupted run would have answered.
      The drain's readmissions are a side-effect of stopping; a resumed
      run readmits through its own reopts instead. *)
-  Option.iter
-    (fun sink ->
-      sink engine ~wal_records:session.wal_records ~response_seq:session.seq)
-    session.config.checkpoint_sink;
+  Option.iter (checkpoint session engine) session.config.checkpoint_sink;
   session.finalizing <- true;
   let readmits = Engine.finalize engine in
   let send line = if session.config.echo_responses then send line in
@@ -541,5 +620,3 @@ let serve_unix_session ?net session ~path =
           match serve_net_session ~net session backend with
           | Ok stats -> Ok stats
           | Error message -> Error (Fatal message))
-
-let serve_unix ?net config ~path = serve_unix_session ?net (make_session config) ~path

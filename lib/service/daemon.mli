@@ -3,8 +3,8 @@
     The daemon is transport-agnostic at its core — {!handle_line}
     applies one request line to a {!session} and hands formatted
     response lines to a [send] callback. {!serve} wraps that over any
-    pair of channels (the [--stdin] pipe mode) and {!serve_unix} runs
-    a {!Net.Reactor} on a Unix-domain socket, multiplexing concurrent
+    pair of channels (the [--stdin] pipe mode) and {!serve_unix_session}
+    runs a {!Net.Reactor} on a Unix-domain socket, multiplexing concurrent
     connections into the same session so service state outlives any
     one client of the daemon — with read deadlines, bounded write
     buffers, rate limits and a connection cap keeping any one hostile
@@ -23,10 +23,14 @@
     With a {!Wal.writer} attached, every applied request line (the
     hello, clock ticks, events) is appended to the WAL {e before} any
     response for it is emitted, so a SIGKILL can never acknowledge an
-    event it did not persist. Recovery is {!replay}: feeding the WAL
-    records (or the suffix past a snapshot) back through
-    {!handle_line} rebuilds the engine {e and} the numbered response
-    log, because the engine is deterministic.
+    event it did not persist. Recovery is {!recover}: it feeds the WAL
+    records past the session's position (all of them for a fresh
+    session, the suffix past a snapshot for a resumed one) back through
+    {!handle_line}, which rebuilds the engine {e and} the numbered
+    response log because the engine is deterministic, then attaches
+    the log's writer. The session owns that writer from then on: its
+    checkpoints garbage-collect the segments they cover, whether the
+    session started fresh, from a snapshot, or as a promoted standby.
 
     Every response except [err] and [resume-ok] carries an implicit
     sequence number and is retained (up to [resume_window]) for
@@ -71,10 +75,12 @@ type config = {
   checkpoint_every : int option;
       (** call the sink every [n] events (and once at shutdown) *)
   checkpoint_sink :
-    (Engine.t -> wal_records:int -> response_seq:int -> unit) option;
+    (Engine.t -> wal_records:int -> response_seq:int -> bool) option;
       (** [wal_records] and [response_seq] pin the snapshot's position
           in the WAL and the response numbering, so a resumed daemon
-          replays the right suffix *)
+          replays the right suffix. Return [true] once the snapshot is
+          durable: the session then GCs the WAL segments it covers
+          ({!Wal.gc}) and logs [serve: wal gc: ...] to stderr. *)
   echo_responses : bool;  (** write responses to the output channel *)
   resume_window : int;
       (** numbered responses retained for resume replay; [0] =
@@ -93,7 +99,6 @@ type session
 val make_session : ?wal:Wal.writer -> config -> session
 
 val resume_session :
-  ?wal:Wal.writer ->
   config ->
   engine:Engine.t ->
   scenario:string ->
@@ -106,7 +111,7 @@ val resume_session :
     positions, and resume replay reaches back to [response_seq] (not
     before — clients are guaranteed to have received that much, since
     responses are flushed before checkpoints run). Follow with
-    {!replay} of the WAL suffix. *)
+    {!recover} to replay the WAL suffix. *)
 
 val handle_line :
   session ->
@@ -126,17 +131,41 @@ val handle_line :
     must exit 2 and recover by replay, never retry. *)
 
 val replay : session -> string list -> (unit, string) result
-(** Recovery: apply WAL records with WAL writes suppressed and
-    responses discarded (they are still numbered and logged, so resume
-    replay works after recovery). [Error] reports records the session
-    rejected — a healthy WAL replays clean. *)
+(** Apply WAL records with WAL writes suppressed and responses
+    discarded (they are still numbered and logged, so resume replay
+    works after recovery). [Error] reports records the session
+    rejected — a healthy WAL replays clean. {!recover} is the checked
+    way to build a session on a log; this is its replay step. *)
 
-val set_wal : session -> Wal.writer option -> unit
-(** Attach (or detach) the WAL writer — e.g. when a promoted standby
-    takes over appending. *)
+type recover_error =
+  | Refused of string
+      (** the log cannot carry this session; nothing was replayed and
+          no writer is attached *)
+  | Replay_failed of string  (** a record the session rejected *)
+
+val describe_recover_error : recover_error -> string
+
+val recover :
+  ?io:Io.t ->
+  fsync_every:int ->
+  ?segment_bytes:int ->
+  session ->
+  path:string ->
+  (int, recover_error) result
+(** Put [session] on the WAL at [path] — the one recovery rule, used by
+    a fresh or snapshot-resumed daemon, a promoted {!Follower} and the
+    disk torture alike. With [applied] = {!wal_records}[ session]:
+    - no log: created (rotating at [segment_bytes]) when [applied = 0],
+      refused otherwise — recorded history is gone;
+    - otherwise the log is opened for append, which truncates a torn
+      tail, and refused unless its oldest surviving record is at most
+      [applied] (GC dropped nothing the session lacks) and it holds at
+      least [applied] records (nothing the session applied was lost);
+    - the records past [applied] are replayed and the writer attached,
+      so [wal_records session = Wal.records_written writer].
+    Returns how many records were replayed. *)
 
 val session_engine : session -> Engine.t option
-val session_identity : session -> (string * int) option
 
 val wal_records : session -> int
 (** Request records applied so far, hello included. *)
@@ -151,9 +180,6 @@ val numbered_log : session -> string list
 (** The retained numbered responses, oldest first — the recovered
     response stream a torture harness compares against a reference
     run. *)
-
-val events_applied : session -> int
-(** Post-hello request lines applied: the client journal cursor. *)
 
 val finish_session : session -> out_channel -> (stats, string) result
 (** Checkpoint, finalize, drain — what [end] triggers. *)
@@ -220,7 +246,3 @@ val serve_unix_session :
     [net]'s deadlines, buffer bounds, rate limits and connection cap
     (default {!Net.default_config}). The socket file is removed on
     clean shutdown. *)
-
-val serve_unix :
-  ?net:Net.config -> config -> path:string -> (stats, serve_unix_error) result
-(** {!serve_unix_session} over a fresh session. *)

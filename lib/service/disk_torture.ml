@@ -60,26 +60,20 @@ let is_prefix ~of_:reference recovered =
 
 let wal_path = "torture.wal"
 
-(* Recover from whatever [fs] holds: truncate the torn tail, replay
-   every surviving record through a fresh session, return the rebuilt
-   numbered response log. Runs on a clone — recovery repairs the disk
-   it opens (tail truncation, manifest heal), and the image under test
-   must stay exactly what the crash left. *)
+(* Recover from whatever [fs] holds exactly as a restarted daemon does
+   ({!Daemon.recover}: truncate the torn tail, replay every surviving
+   record through a fresh session) and return the rebuilt numbered
+   response log. Runs on a clone — recovery repairs the disk it opens
+   (tail truncation, manifest heal, or a fresh log where none
+   survived), and the image under test must stay exactly what the
+   crash left. The clone is dropped with the writer still attached:
+   what recovery did to it is never looked at again. *)
 let recover ~fs cfg =
   let io = Io.Mem.io (Io.Mem.clone fs) in
-  if not (Wal.log_exists ~io ~path:wal_path ()) then Ok []
-  else
-    match Wal.open_append ~io ~path:wal_path () with
-    | Error e -> Error ("recovery: " ^ Wal.describe_read_error e)
-    | Ok (writer, records) -> (
-        let session = Daemon.make_session cfg in
-        match Daemon.replay session records with
-        | Error e ->
-            Wal.close_writer writer;
-            Error ("recovery replay: " ^ e)
-        | Ok () ->
-            Wal.close_writer writer;
-            Ok (Daemon.numbered_log session))
+  let session = Daemon.make_session cfg in
+  match Daemon.recover ~io ~fsync_every:32 session ~path:wal_path with
+  | Error e -> Error ("recovery: " ^ Daemon.describe_recover_error e)
+  | Ok _ -> Ok (Daemon.numbered_log session)
 
 let check_recovery ~fs cfg ~reference ~what =
   match recover ~fs cfg with

@@ -13,11 +13,11 @@ type t = {
   mutable promoted : bool;
 }
 
-let create ?(io = Io.real) ?session ?(from = 0) config ~path =
+let create ?(io = Io.real) ?session config ~path =
   let session =
     match session with Some s -> s | None -> Daemon.make_session config
   in
-  match Wal.open_tailer ~io ~from ~path () with
+  match Wal.open_tailer ~io ~from:(Daemon.wal_records session) ~path () with
   | Error e -> Error (Wal.describe_read_error e)
   | Ok tailer -> Ok { session; path; io; tailer = Some tailer; promoted = false }
 
@@ -55,51 +55,16 @@ let promote t ~fsync_every ?segment_bytes () =
   | Some tailer -> (
       Wal.close_tailer tailer;
       t.tailer <- None;
-      (* Re-open the log as the new primary: this truncates any torn
-         tail the dead primary left, and hands back every surviving
-         record — we apply the suffix the tailer had not yet seen. *)
-      match Wal.open_append ~io:t.io ~fsync_every ?segment_bytes ~path:t.path ()
+      (* The tailer can outrun durability (page-cache bytes a power cut
+         lost) and GC (ground it never saw): recovery refuses both. *)
+      match
+        Daemon.recover ~io:t.io ~fsync_every ?segment_bytes t.session
+          ~path:t.path
       with
-      | Error e -> Error (Wal.describe_read_error e)
-      | Ok (writer, records) -> (
-          (* Re-verify the tail against what we already applied. The
-             tailer can outrun durability: with batched fsync, bytes it
-             read from the page cache may not have survived a power
-             cut, so the re-scanned log can be *shorter* than what this
-             standby applied. Appending there would renumber — or
-             interleave — records clients already got answers for. *)
-          let seen = Daemon.wal_records t.session in
-          let base = Wal.base_index writer in
-          let on_disk = base + List.length records in
-          if base > seen then begin
-            Wal.close_writer writer;
-            Error
-              (Printf.sprintf
-                 "promote: log now begins at record %d but this follower only \
-                  applied %d — GC outran the tailer; bootstrap a fresh \
-                  follower from the snapshot"
-                 base seen)
-          end
-          else if on_disk < seen then begin
-            Wal.close_writer writer;
-            Error
-              (Printf.sprintf
-                 "promote: log holds %d records but this follower applied %d \
-                  — the tail this standby tailed did not survive on disk; \
-                  refusing to append after lost records"
-                 on_disk seen)
-          end
-          else
-            let suffix = List.filteri (fun i _ -> base + i >= seen) records in
-            match Daemon.replay t.session suffix with
-            | Error e ->
-                Wal.close_writer writer;
-                Error e
-            | Ok () ->
-                assert (Daemon.wal_records t.session = Wal.records_written writer);
-                Daemon.set_wal t.session (Some writer);
-                t.promoted <- true;
-                Ok (List.length suffix)))
+      | Error e -> Error (Daemon.describe_recover_error e)
+      | Ok caught_up ->
+          t.promoted <- true;
+          Ok caught_up)
 
 let close t =
   Option.iter Wal.close_tailer t.tailer;

@@ -876,7 +876,11 @@ let poll t =
     in
     acc @ fresh
   in
-  let rec step acc =
+  (* [sealed]: the successor segment exists, so the writer has finished
+     this one. It may have appended here between our drain and the
+     moment we saw the successor, so the segment is drained once more
+     before its end is trusted. *)
+  let rec step ~sealed acc =
     match drain () with
     | exception Sys_error m -> Error (Io m)
     | () -> (
@@ -898,56 +902,56 @@ let poll t =
                 Buffer.clear t.buf;
                 Buffer.add_string t.buf rest;
                 let acc = deliver acc records idx0 in
+                let next = seg_name t.t_base (t.t_seg + 1) in
                 if t.t_seg = 0 then Ok acc
-                else
-                  let next = seg_name t.t_base (t.t_seg + 1) in
-                  if not (t.tio.exists next) then
-                    if t.tio.exists (seg_name t.t_base (t.t_seg + 2)) then
-                      Error
-                        (Io
-                           (Printf.sprintf
-                              "tailer outrun by gc: segment %06d is gone"
-                              (t.t_seg + 1)))
-                    else Ok acc
-                  else if rest <> "" then
-                    (* The writer finishes a segment before creating the
-                       next, so leftover bytes with a successor present
-                       mean the log is damaged, not in flight. *)
+                else if not sealed then
+                  if t.tio.exists next then step ~sealed:true acc
+                  else if t.tio.exists (seg_name t.t_base (t.t_seg + 2)) then
                     Error
-                      (Corrupted
-                         {
-                           index = t.t_pos;
-                           reason =
-                             Printf.sprintf
-                               "dangling bytes at the end of segment %06d"
-                               t.t_seg;
-                         })
-                  else
-                    match segment_first t.tio next with
-                    | None -> Ok acc (* header still being written *)
-                    | Some first when first <> t.t_pos ->
-                        Error
-                          (Corrupted
-                             {
-                               index = t.t_pos;
-                               reason =
-                                 Printf.sprintf
-                                   "segment %06d claims base %d, expected %d"
-                                   (t.t_seg + 1) first t.t_pos;
-                             })
-                    | Some _ -> (
-                        match t.tio.open_in_ next with
-                        | exception Unix.Unix_error (e, _, _) ->
-                            Error (Io (Unix.error_message e))
-                        | f ->
-                            (try t.t_file.f_close ()
-                             with Unix.Unix_error _ -> ());
-                            f.f_seek seg_header_bytes;
-                            t.t_file <- f;
-                            t.t_seg <- t.t_seg + 1;
-                            step acc))))
+                      (Io
+                         (Printf.sprintf
+                            "tailer outrun by gc: segment %06d is gone"
+                            (t.t_seg + 1)))
+                  else Ok acc
+                else if rest <> "" then
+                  (* The writer finishes a segment before creating the
+                     next, so leftover bytes with a successor present
+                     mean the log is damaged, not in flight. *)
+                  Error
+                    (Corrupted
+                       {
+                         index = t.t_pos;
+                         reason =
+                           Printf.sprintf
+                             "dangling bytes at the end of segment %06d"
+                             t.t_seg;
+                       })
+                else
+                  match segment_first t.tio next with
+                  | None -> Ok acc (* header still being written *)
+                  | Some first when first <> t.t_pos ->
+                      Error
+                        (Corrupted
+                           {
+                             index = t.t_pos;
+                             reason =
+                               Printf.sprintf
+                                 "segment %06d claims base %d, expected %d"
+                                 (t.t_seg + 1) first t.t_pos;
+                           })
+                  | Some _ -> (
+                      match t.tio.open_in_ next with
+                      | exception Unix.Unix_error (e, _, _) ->
+                          Error (Io (Unix.error_message e))
+                      | f ->
+                          (try t.t_file.f_close ()
+                           with Unix.Unix_error _ -> ());
+                          f.f_seek seg_header_bytes;
+                          t.t_file <- f;
+                          t.t_seg <- t.t_seg + 1;
+                          step ~sealed:false acc))))
   in
-  step []
+  step ~sealed:false []
 
 let close_tailer t =
   if not t.t_closed then begin

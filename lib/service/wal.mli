@@ -185,9 +185,10 @@ val segments : writer -> (int * int) list
 
 type tailer
 (** An incremental reader over a log another process is appending to.
-    Follows the segment chain across rotations: when the current
-    segment is drained clean and its successor exists, the tailer
-    advances. *)
+    Follows the segment chain across rotations: once the successor of
+    the current segment exists, the current one is drained a last time
+    (the writer finishes a segment before it creates the next) and the
+    tailer advances. *)
 
 val open_tailer :
   ?io:Io.t -> ?from:int -> path:string -> unit -> (tailer, read_error) result

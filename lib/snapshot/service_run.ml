@@ -55,6 +55,27 @@ let resume ~world t =
     | engine -> Ok engine
     | exception Invalid_argument reason -> Error reason
 
+let resume_session ?expect daemon_config t =
+  let { scenario; seed; wal_position; response_seq; _ } = t.spec in
+  match expect with
+  | Some want when want <> scenario ->
+      Error (Printf.sprintf "snapshot is for %s, --expect says %s" scenario want)
+  | _ -> (
+      match Cap_model.Validate.scenario_notation scenario with
+      | Error issue ->
+          Error ("snapshot scenario: " ^ Cap_model.Validate.describe issue)
+      | Ok parsed -> (
+          let world =
+            Cap_model.World.generate (Cap_util.Rng.create ~seed) parsed
+          in
+          match resume ~world t with
+          | Error _ as e -> e
+          | Ok engine ->
+              Ok
+                ( world,
+                  Cap_service.Daemon.resume_session daemon_config ~engine
+                    ~scenario ~seed ~wal_records:wal_position ~response_seq )))
+
 (* plain data only; Marshal raises at write time if a closure sneaks in *)
 let save ?io ~path t =
   match Marshal.to_string t [] with

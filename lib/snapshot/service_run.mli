@@ -47,6 +47,18 @@ val resume :
     the spec's recipe: a fingerprint mismatch (or shape mismatch) is
     an [Error], never a silently wrong daemon. *)
 
+val resume_session :
+  ?expect:string ->
+  Cap_service.Daemon.config ->
+  t ->
+  (Cap_model.World.t * Cap_service.Daemon.session, string) result
+(** The snapshot as a daemon session: regenerate the world from the
+    spec's recipe (refusing a scenario other than [expect]), restore
+    the engine ({!resume}), and pin identity, WAL position and response
+    numbering ({!Cap_service.Daemon.resume_session}). Returns the
+    regenerated world too, for the checkpoints the session will write.
+    Follow with {!Cap_service.Daemon.recover} to replay the WAL suffix. *)
+
 val config : t -> Cap_service.Engine.config
 
 val save :

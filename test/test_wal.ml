@@ -381,7 +381,7 @@ let test_parse_oversized () =
 (* A simulated daemon "process": handle_line over an in-memory queue,
    durable state in a real WAL file, killable between responses. The
    kill schedule fires after the Nth delivered response; recovery is
-   exactly what capsim does — open_append + replay. *)
+   exactly what capsim does — Daemon.recover on a fresh session. *)
 type sim_daemon = {
   wal_path : string;
   mutable session : Daemon.session option;  (* None = process is dead *)
@@ -393,22 +393,11 @@ let sim_connect daemon () =
   (* supervisor stand-in: (re)start the daemon if it is down *)
   (match daemon.session with
   | Some _ -> ()
-  | None ->
-      if Sys.file_exists daemon.wal_path then (
-        match Wal.open_append ~path:daemon.wal_path () with
-        | Error e -> Alcotest.failf "recovery open_append: %s" (Wal.describe_read_error e)
-        | Ok (writer, records) ->
-            let session = Daemon.make_session ~wal:writer (daemon_config ()) in
-            (match Daemon.replay session records with
-            | Ok () -> ()
-            | Error m -> Alcotest.failf "recovery replay: %s" m);
-            daemon.session <- Some session)
-      else
-        daemon.session <-
-          Some
-            (Daemon.make_session
-               ~wal:(Wal.create_writer ~path:daemon.wal_path ())
-               (daemon_config ())));
+  | None -> (
+      let session = Daemon.make_session (daemon_config ()) in
+      match Daemon.recover ~fsync_every:32 session ~path:daemon.wal_path with
+      | Ok _ -> daemon.session <- Some session
+      | Error e -> Alcotest.failf "recovery: %s" (Daemon.describe_recover_error e)));
   let queue = Queue.create () in
   let eof = ref false in
   let die () =
@@ -888,6 +877,195 @@ let test_promote_refuses_gc_gap () =
         (String.length m > 0));
   Alcotest.(check bool) "not promoted" false (Follower.is_promoted follower)
 
+(* the tailer drains segment N, then looks for N+1; a writer that
+   appends to N and rotates in between must not read as corruption *)
+let test_tailer_survives_append_then_rotate () =
+  let fs = Io.Mem.create () in
+  let path = "race.wal" in
+  let w =
+    Wal.create_writer ~io:(Io.Mem.io fs) ~fsync_every:0 ~segment_bytes:128 ~path ()
+  in
+  let record i = Printf.sprintf "join %d 1 1" (3000 + i) in
+  let appended = ref 0 in
+  let append_one () =
+    Wal.append w (record !appended);
+    incr appended
+  in
+  for _ = 1 to 3 do append_one () done;
+  let mem = Io.Mem.io fs in
+  let armed = ref false in
+  (* on the tailer's first look for a successor: fill the segment it
+     just drained and rotate past it *)
+  let exists p =
+    if !armed then begin
+      armed := false;
+      let segments = List.length (Wal.segments w) in
+      while List.length (Wal.segments w) = segments do append_one () done
+    end;
+    mem.Io.exists p
+  in
+  let tailer =
+    match Wal.open_tailer ~io:{ mem with Io.exists } ~path () with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "open_tailer: %s" (Wal.describe_read_error e)
+  in
+  armed := true;
+  match Wal.poll tailer with
+  | Error e -> Alcotest.failf "poll across the rotation: %s" (Wal.describe_read_error e)
+  | Ok got ->
+      Alcotest.(check bool) "records landed in the drained segment" true
+        (!appended - 3 >= 2);
+      Alcotest.(check (list string)) "every record, in order"
+        (List.init !appended record) got
+
+(* ------------------------------------------------------------------ *)
+(* the one recovery rule: Daemon.recover                               *)
+
+let engine_fingerprint session =
+  match Daemon.session_engine session with
+  | Some e -> Engine.fingerprint e
+  | None -> Alcotest.fail "session has no engine"
+
+(* a session holding the first [k] records, rebuilt through an engine
+   checkpoint as [serve --resume] rebuilds it *)
+let snapshot_session lines ~seed k =
+  let live = Daemon.make_session (daemon_config ()) in
+  ignore (feed live (List.filteri (fun i _ -> i < k) lines));
+  let engine =
+    match Daemon.session_engine live with
+    | Some e -> e
+    | None -> Alcotest.fail "snapshot source has no engine"
+  in
+  let world = World.generate (Rng.create ~seed) service_scenario in
+  Daemon.resume_session (daemon_config ())
+    ~engine:(Engine.restore ~world Engine.default_config (Engine.checkpoint engine))
+    ~scenario:notation ~seed ~wal_records:(Daemon.wal_records live)
+    ~response_seq:(Daemon.response_seq live)
+
+let mem_log ?segment_bytes ?(gc = false) fs lines =
+  let w =
+    Wal.create_writer ~io:(Io.Mem.io fs) ~fsync_every:0 ?segment_bytes
+      ~path:"recover.wal" ()
+  in
+  List.iter (Wal.append w) lines;
+  if gc then ignore (Wal.gc w ~covered:(Wal.records_written w) : int);
+  Wal.close_writer w
+
+let test_recover_table () =
+  let seed = 31 in
+  let lines = stream_lines seed in
+  let n = List.length lines in
+  let k = n / 2 in
+  let prefix m = List.filteri (fun i _ -> i < m) lines in
+  let reference =
+    let s = Daemon.make_session (daemon_config ()) in
+    ignore (feed s lines);
+    engine_fingerprint s
+  in
+  let fresh () = Daemon.make_session (daemon_config ()) in
+  let cases =
+    [
+      ("no log, fresh session: the log is created", ignore, fresh, Some 0);
+      ("a log, fresh session: full replay", (fun fs -> mem_log fs lines), fresh, Some n);
+      ( "a log, snapshot session: only the suffix",
+        (fun fs -> mem_log fs lines),
+        (fun () -> snapshot_session lines ~seed k),
+        Some (n - k) );
+      ( "a gc'd head, fresh session: refused",
+        (fun fs -> mem_log ~segment_bytes:256 ~gc:true fs lines),
+        fresh,
+        None );
+      ( "a log shorter than the snapshot: refused",
+        (fun fs -> mem_log fs (prefix (k / 2))),
+        (fun () -> snapshot_session lines ~seed k),
+        None );
+      ( "no log, applied > 0: refused",
+        ignore,
+        (fun () -> snapshot_session lines ~seed k),
+        None );
+    ]
+  in
+  List.iter
+    (fun (what, disk, make, expect) ->
+      let fs = Io.Mem.create () in
+      disk fs;
+      let io = Io.Mem.io fs in
+      let session = make () in
+      let applied = Daemon.wal_records session in
+      let on_disk () =
+        if not (Wal.log_exists ~io ~path:"recover.wal" ()) then None
+        else
+          match Wal.read_log ~io ~path:"recover.wal" () with
+          | Ok li -> Some (li.Wal.li_base + List.length li.Wal.li_records)
+          | Error e -> Alcotest.failf "%s: reread: %s" what (Wal.describe_read_error e)
+      in
+      let before = on_disk () in
+      match (Daemon.recover ~io ~fsync_every:0 session ~path:"recover.wal", expect) with
+      | Ok replayed, Some want ->
+          Alcotest.(check int) (what ^ ": records replayed") want replayed;
+          let total = applied + replayed in
+          Alcotest.(check int) (what ^ ": session position") total
+            (Daemon.wal_records session);
+          if total = n then
+            Alcotest.(check string) (what ^ ": engine matches the uninterrupted run")
+              reference (engine_fingerprint session);
+          (* the writer is attached: the next accepted line is logged *)
+          let next = if total = 0 then List.hd lines else "t 999999.000000" in
+          ignore (feed session [ next ]);
+          Alcotest.(check (option int)) (what ^ ": the log grows with the session")
+            (Some (total + 1)) (on_disk ())
+      | Error (Daemon.Refused _), None ->
+          Alcotest.(check int) (what ^ ": nothing applied") applied
+            (Daemon.wal_records session);
+          Alcotest.(check (option int)) (what ^ ": the log is untouched") before
+            (on_disk ())
+      | Ok replayed, None -> Alcotest.failf "%s: recovered %d records" what replayed
+      | Error e, _ -> Alcotest.failf "%s: %s" what (Daemon.describe_recover_error e))
+    cases
+
+(* a promoted standby's next durable checkpoint drops the segments it
+   covers, exactly as the primary's would have *)
+let test_promoted_follower_gcs_its_log () =
+  with_temp_base @@ fun path ->
+  let lines = stream_lines 31 in
+  let n = List.length lines in
+  let w = Wal.create_writer ~fsync_every:0 ~segment_bytes:256 ~path () in
+  ignore (feed (Daemon.make_session ~wal:w (daemon_config ())) lines);
+  Wal.close_writer w;
+  let covered = ref [] in
+  let config =
+    {
+      (daemon_config ()) with
+      Daemon.checkpoint_sink =
+        Some
+          (fun _ ~wal_records ~response_seq:_ ->
+            covered := wal_records :: !covered;
+            true);
+    }
+  in
+  let segments () =
+    match Wal.read_log ~path () with
+    | Ok li -> List.length li.Wal.li_segments
+    | Error e -> Alcotest.failf "read_log: %s" (Wal.describe_read_error e)
+  in
+  let follower =
+    match Follower.create config ~path with
+    | Ok f -> f
+    | Error m -> Alcotest.failf "follower create: %s" m
+  in
+  (match Follower.catch_up follower with
+  | Ok applied -> Alcotest.(check int) "follower applied everything" n applied
+  | Error m -> Alcotest.failf "catch_up: %s" m);
+  (match Follower.promote follower ~fsync_every:0 ~segment_bytes:256 () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "promote: %s" m);
+  Alcotest.(check bool) "the log spans several segments" true (segments () > 2);
+  (match Daemon.finish_session_send (Follower.session follower) ~send:ignore with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "finish: %s" m);
+  Alcotest.(check (list int)) "one checkpoint, at the tip" [ n ] !covered;
+  Alcotest.(check int) "every covered segment dropped" 1 (segments ())
+
 (* ------------------------------------------------------------------ *)
 (* typed failure policy: degraded mode and fsyncgate                   *)
 
@@ -988,10 +1166,22 @@ let test_envelope_writes_through_io () =
 
 let test_disk_torture_harness () =
   let lines = List.filteri (fun i _ -> i < 30) (stream_lines 5) in
+  (* Every replayed prefix resolves the same hello: generate the world
+     and run the bootstrap solve once per seed. [Engine.create] copies
+     the assignment and only reads the world, so each replay still
+     starts from a fresh engine. *)
+  let bootstrap = Hashtbl.create 1 in
   let resolve ~scenario ~seed =
     ignore scenario;
-    let world = World.generate (Rng.create ~seed) service_scenario in
-    let assignment = Two_phase.run Two_phase.grez_grec (Rng.create ~seed) world in
+    let world, assignment =
+      match Hashtbl.find_opt bootstrap seed with
+      | Some built -> built
+      | None ->
+          let world = World.generate (Rng.create ~seed) service_scenario in
+          let assignment = Two_phase.run Two_phase.grez_grec (Rng.create ~seed) world in
+          Hashtbl.add bootstrap seed (world, assignment);
+          (world, assignment)
+    in
     Ok (Engine.create ~world ~assignment Engine.default_config)
   in
   match Disk_torture.run ~segment_bytes:256 ~resolve ~lines ~seed:5 () with
@@ -1236,5 +1426,10 @@ let tests =
           test_supervisor_standby_crash_respawns;
         case "bind reclaims stale sockets, refuses live ones"
           test_bind_unix_reclaims_stale_socket;
+        case "tailer drains a segment the writer finished after its poll"
+          test_tailer_survives_append_then_rotate;
+        case "recover: one rule for every way onto a log" test_recover_table;
+        case "a promoted standby gcs at its next checkpoint"
+          test_promoted_follower_gcs_its_log;
       ] );
   ]
