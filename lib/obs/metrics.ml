@@ -184,47 +184,48 @@ and data =
       max : float;
     }
 
+let data_of = function
+  | I_counter r -> Counter_sample !r
+  | I_gauge r -> Gauge_sample !r
+  | I_histogram h ->
+      Histogram_sample
+        {
+          bounds = Array.copy h.bounds;
+          counts = Array.copy h.counts;
+          sum = h.h_sum;
+          count = h.h_count;
+          min = h.h_min;
+          max = h.h_max;
+        }
+
 let collect () =
   List.rev_map
-    (fun e ->
-      let data =
-        match e.instrument with
-        | I_counter r -> Counter_sample !r
-        | I_gauge r -> Gauge_sample !r
-        | I_histogram h ->
-            Histogram_sample
-              {
-                bounds = Array.copy h.bounds;
-                counts = Array.copy h.counts;
-                sum = h.h_sum;
-                count = h.h_count;
-                min = h.h_min;
-                max = h.h_max;
-              }
-      in
-      { name = e.name; help = e.help; labels = e.labels; data })
+    (fun (e : entry) ->
+      { name = e.name; help = e.help; labels = e.labels; data = data_of e.instrument })
     !order
 
-(* Counters and gauges in registration order; histograms are omitted
-   (their state is not restorable through this interface). *)
 let export_values () =
-  List.rev
-    (List.filter_map
-       (fun e ->
-         match e.instrument with
-         | I_counter r | I_gauge r -> Some ((e.name, e.labels), !r)
-         | I_histogram _ -> None)
-       !order)
+  List.rev_map (fun (e : entry) -> ((e.name, e.labels), data_of e.instrument)) !order
 
 (* Restore is a state operation, not a recording: it applies even while
    Control is off, and silently skips instruments that are not (yet)
-   registered in this process. *)
+   registered in this process, are of another kind, or (histograms)
+   have other bucket bounds. *)
 let restore_values values =
   List.iter
-    (fun (key, v) ->
-      match Hashtbl.find_opt table key with
-      | Some { instrument = I_counter r | I_gauge r; _ } -> r := v
-      | Some { instrument = I_histogram _; _ } | None -> ())
+    (fun (key, data) ->
+      match Hashtbl.find_opt table key, data with
+      | Some { instrument = I_counter r; _ }, Counter_sample v
+      | Some { instrument = I_gauge r; _ }, Gauge_sample v ->
+          r := v
+      | Some { instrument = I_histogram h; _ }, Histogram_sample s
+        when s.bounds = h.bounds && Array.length s.counts = Array.length h.counts ->
+          Array.blit s.counts 0 h.counts 0 (Array.length h.counts);
+          h.h_sum <- s.sum;
+          h.h_count <- s.count;
+          h.h_min <- s.min;
+          h.h_max <- s.max
+      | _ -> ())
     values
 
 (* Zero values rather than dropping series: module-level instruments

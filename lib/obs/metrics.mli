@@ -95,15 +95,16 @@ and data =
 val collect : unit -> sample list
 (** All registered instruments in registration order. *)
 
-val export_values : unit -> ((string * label list) * float) list
-(** Current values of every counter and gauge, in registration order
-    (histograms are omitted). Used by snapshots to persist telemetry
-    across a checkpoint/resume cycle. *)
+val export_values : unit -> ((string * label list) * data) list
+(** Current values of every instrument (counters, gauges and
+    histograms), in registration order. Used by snapshots to persist
+    telemetry across a checkpoint/resume cycle. *)
 
-val restore_values : ((string * label list) * float) list -> unit
-(** Overwrite counter/gauge values from {!export_values} output.
-    Applies even while recording is disabled; entries whose instrument
-    is not registered in this process are ignored. *)
+val restore_values : ((string * label list) * data) list -> unit
+(** Overwrite instrument values from {!export_values} output. Applies
+    even while recording is disabled. An entry is ignored when its
+    instrument is not registered in this process or is of another
+    kind; a histogram is restored only when its bucket bounds match. *)
 
 val reset : unit -> unit
 (** Zero every registered instrument's recorded values. Registrations

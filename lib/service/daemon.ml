@@ -568,10 +568,6 @@ type serve_unix_error =
   | Bind of bind_error
   | Fatal of string
 
-let describe_serve_unix_error = function
-  | Bind e -> describe_bind_error e
-  | Fatal m -> m
-
 (* The reactor front-end: N concurrent connections multiplexed into
    the one shared session. WAL ordering is preserved by construction —
    [handle_line] appends (and, per policy, flushes) the record before

@@ -223,8 +223,6 @@ type serve_unix_error =
   | Bind of bind_error
   | Fatal of string
 
-val describe_serve_unix_error : serve_unix_error -> string
-
 val serve_net_session :
   ?net:Net.config ->
   ?inspect:(Net.Reactor.t -> unit) ->

@@ -18,31 +18,28 @@ let st_free = 0
 let st_live = 1
 let st_shed = 2
 
-type t = {
-  base : World.t;  (* as generated; topology, sampler and initial clients *)
-  config : config;
+(* Everything the engine changes between events, as plain data: the
+   client registry, the assignment with its delta-maintained books, the
+   health mask and the counters. The loads are running sums that a
+   recomputation would not reproduce bit for bit, so nothing here is
+   re-derived on restore: a checkpoint is a deep copy of this record,
+   and a field added here is checkpointed with no other edit. *)
+type state = {
   health : Health.t;
-  mutable serving : World.t;
-      (* [base] with the health mask baked in: capacities, penalties.
-         Clients are never read through it, so it is only rebuilt on
-         control events, not per client event. *)
   (* dynamic client registry; the external id is the slot index *)
   mutable nodes : int array;
   mutable zones : int array;
   mutable contact : int array;  (* live slots only; server or unassigned *)
   mutable status : int array;
-  mutable slots : int;  (* capacity of the arrays above *)
   mutable live : int;
   mutable shed : int;
-  mutable unassigned_live : int;
   (* assignment state, delta-maintained *)
   targets : int array;  (* zone -> server | unassigned *)
   pop : int array;  (* zone -> live population *)
   loads : float array;  (* server -> bits/s, matches Assignment.server_loads *)
   members : (int, unit) Hashtbl.t array;  (* zone -> live slots *)
   relay : (int, int) Hashtbl.t array;  (* zone -> contact server -> relaying count *)
-  dirty : (int, unit) Hashtbl.t;  (* zones touched since the last re-optimization *)
-  inc_state : Incremental.state;
+  mutable dirty : bool;  (* a zone was touched since the last re-optimization *)
   (* counters *)
   mutable events : int;
   mutable sheds_total : int;
@@ -50,6 +47,18 @@ type t = {
   mutable reopts : int;
   mutable since_reopt : int;
   mutable stream_time : float;
+}
+
+(* The state plus what is rebuilt from the world it runs on. *)
+type t = {
+  base : World.t;  (* as generated; topology, sampler and initial clients *)
+  config : config;
+  inc_state : Incremental.state;
+  mutable serving : World.t;
+      (* [base] with the health mask baked in: capacities, penalties.
+         Clients are never read through it, so it is only rebuilt on
+         control events, not per client event. *)
+  st : state;
 }
 
 let traffic t = t.base.World.scenario.Scenario.traffic
@@ -61,14 +70,12 @@ let zr t p = Traffic.zone_rate (traffic t) ~population:p
 let fw t p =
   if p <= 0 then 0. else Traffic.forwarding_rate (traffic t) ~zone_population:p
 
-let mark_dirty t z = if not (Hashtbl.mem t.dirty z) then Hashtbl.add t.dirty z ()
-
-let inc_relay t z s =
-  let table = t.relay.(z) in
+let inc_relay st z s =
+  let table = st.relay.(z) in
   Hashtbl.replace table s (1 + Option.value (Hashtbl.find_opt table s) ~default:0)
 
-let dec_relay t z s =
-  let table = t.relay.(z) in
+let dec_relay st z s =
+  let table = st.relay.(z) in
   match Hashtbl.find_opt table s with
   | Some 1 -> Hashtbl.remove table s
   | Some n -> Hashtbl.replace table s (n - 1)
@@ -79,14 +86,15 @@ let dec_relay t z s =
    bandwidth, so it is always feasible). Per-member outcome is
    independent of iteration order. *)
 let demote_relays t z s =
-  let target = t.targets.(z) in
-  let count = Option.value (Hashtbl.find_opt t.relay.(z) s) ~default:0 in
+  let st = t.st in
+  let target = st.targets.(z) in
+  let count = Option.value (Hashtbl.find_opt st.relay.(z) s) ~default:0 in
   if count > 0 then begin
     Hashtbl.iter
-      (fun id () -> if t.contact.(id) = s then t.contact.(id) <- target)
-      t.members.(z);
-    t.loads.(s) <- t.loads.(s) -. (float_of_int count *. fw t t.pop.(z));
-    Hashtbl.remove t.relay.(z) s
+      (fun id () -> if st.contact.(id) = s then st.contact.(id) <- target)
+      st.members.(z);
+    st.loads.(s) <- st.loads.(s) -. (float_of_int count *. fw t st.pop.(z));
+    Hashtbl.remove st.relay.(z) s
   end
 
 (* Move zone [z]'s population from [old_pop] to [new_pop], updating
@@ -95,39 +103,41 @@ let demote_relays t z s =
    Growth can push a relay contact over capacity; those relays are
    demoted to the direct target. *)
 let apply_pop_delta t z ~old_pop ~new_pop =
-  t.pop.(z) <- new_pop;
-  let target = t.targets.(z) in
+  let st = t.st in
+  st.pop.(z) <- new_pop;
+  let target = st.targets.(z) in
   if target <> Assignment.unassigned then
-    t.loads.(target) <- t.loads.(target) +. (zr t new_pop -. zr t old_pop);
-  let relay = t.relay.(z) in
+    st.loads.(target) <- st.loads.(target) +. (zr t new_pop -. zr t old_pop);
+  let relay = st.relay.(z) in
   if Hashtbl.length relay > 0 then begin
     let dfw = fw t new_pop -. fw t old_pop in
     Hashtbl.iter
-      (fun s count -> t.loads.(s) <- t.loads.(s) +. (float_of_int count *. dfw))
+      (fun s count -> st.loads.(s) <- st.loads.(s) +. (float_of_int count *. dfw))
       relay;
     if new_pop > old_pop then begin
       let overflowed =
         Hashtbl.fold
-          (fun s _ acc -> if t.loads.(s) > capacity t s then s :: acc else acc)
+          (fun s _ acc -> if st.loads.(s) > capacity t s then s :: acc else acc)
           relay []
       in
       List.iter (demote_relays t z) (List.sort compare overflowed)
     end
   end
 
-let ensure_slot t id =
-  if id >= t.slots then begin
-    let slots = max (id + 1) (2 * t.slots) in
+let slot_count st = Array.length st.status
+
+let ensure_slot st id =
+  let n = slot_count st in
+  if id >= n then begin
     let grow_int a fill =
-      let b = Array.make slots fill in
-      Array.blit a 0 b 0 t.slots;
+      let b = Array.make (max (id + 1) (2 * n)) fill in
+      Array.blit a 0 b 0 n;
       b
     in
-    t.nodes <- grow_int t.nodes 0;
-    t.zones <- grow_int t.zones 0;
-    t.contact <- grow_int t.contact Assignment.unassigned;
-    t.status <- grow_int t.status st_free;
-    t.slots <- slots
+    st.nodes <- grow_int st.nodes 0;
+    st.zones <- grow_int st.zones 0;
+    st.contact <- grow_int st.contact Assignment.unassigned;
+    st.status <- grow_int st.status st_free
   end
 
 (* GreC's single-client rule: direct to the target within the bound,
@@ -140,12 +150,13 @@ let choose_contact t ~node ~target ~pop_new =
   if d_target <= bound then target
   else begin
     let fwr = fw t pop_new in
+    let health = t.st.health and loads = t.st.loads in
     let best = ref target in
     let best_cost = ref (Float.max 0. (d_target -. bound)) in
     let best_relayed = ref d_target in
     let servers = World.server_count t.serving in
     for s = 0 to servers - 1 do
-      if s <> target && Health.is_alive t.health s && t.loads.(s) +. fwr <= capacity t s
+      if s <> target && Health.is_alive health s && loads.(s) +. fwr <= capacity t s
       then begin
         let relayed =
           World.node_server_rtt t.serving ~node ~server:s
@@ -172,24 +183,25 @@ type placement =
   | No_capacity
 
 let try_place t id =
-  let z = t.zones.(id) in
-  let target = t.targets.(z) in
-  mark_dirty t z;
+  let st = t.st in
+  let z = st.zones.(id) in
+  let target = st.targets.(z) in
+  st.dirty <- true;
   if target = Assignment.unassigned then Zone_down
   else begin
-    let p = t.pop.(z) in
+    let p = st.pop.(z) in
     let dz = zr t (p + 1) -. zr t p in
-    if t.loads.(target) +. dz > capacity t target then No_capacity
+    if st.loads.(target) +. dz > capacity t target then No_capacity
     else begin
       apply_pop_delta t z ~old_pop:p ~new_pop:(p + 1);
-      Hashtbl.replace t.members.(z) id ();
-      t.status.(id) <- st_live;
-      t.live <- t.live + 1;
-      let contact = choose_contact t ~node:t.nodes.(id) ~target ~pop_new:(p + 1) in
-      t.contact.(id) <- contact;
+      Hashtbl.replace st.members.(z) id ();
+      st.status.(id) <- st_live;
+      st.live <- st.live + 1;
+      let contact = choose_contact t ~node:st.nodes.(id) ~target ~pop_new:(p + 1) in
+      st.contact.(id) <- contact;
       if contact <> target then begin
-        t.loads.(contact) <- t.loads.(contact) +. fw t (p + 1);
-        inc_relay t z contact
+        st.loads.(contact) <- st.loads.(contact) +. fw t (p + 1);
+        inc_relay st z contact
       end;
       Placed contact
     end
@@ -199,76 +211,78 @@ let try_place t id =
    explicit unassigned pool (consistent with the batch invariant that
    an unassigned zone has unassigned clients). *)
 let admit_zone_down t id =
-  let z = t.zones.(id) in
-  apply_pop_delta t z ~old_pop:t.pop.(z) ~new_pop:(t.pop.(z) + 1);
-  Hashtbl.replace t.members.(z) id ();
-  t.status.(id) <- st_live;
-  t.live <- t.live + 1;
-  t.unassigned_live <- t.unassigned_live + 1;
-  t.contact.(id) <- Assignment.unassigned
+  let st = t.st in
+  let z = st.zones.(id) in
+  apply_pop_delta t z ~old_pop:st.pop.(z) ~new_pop:(st.pop.(z) + 1);
+  Hashtbl.replace st.members.(z) id ();
+  st.status.(id) <- st_live;
+  st.live <- st.live + 1;
+  st.contact.(id) <- Assignment.unassigned
 
-let shed_slot t id =
-  t.status.(id) <- st_shed;
-  t.shed <- t.shed + 1;
-  t.sheds_total <- t.sheds_total + 1
+let shed_slot st id =
+  st.status.(id) <- st_shed;
+  st.shed <- st.shed + 1;
+  st.sheds_total <- st.sheds_total + 1
 
 let over_admission t =
-  match t.config.max_inflight with None -> false | Some cap -> t.live >= cap
+  match t.config.max_inflight with None -> false | Some cap -> t.st.live >= cap
 
 (* Remove a live slot's contributions (forwarding load, membership,
    population) without freeing the slot. *)
 let remove_live t id =
-  let z = t.zones.(id) in
-  let p = t.pop.(z) in
-  let target = t.targets.(z) in
-  let contact = t.contact.(id) in
-  if contact = Assignment.unassigned then
-    t.unassigned_live <- t.unassigned_live - 1
-  else if target <> Assignment.unassigned && contact <> target then begin
-    t.loads.(contact) <- t.loads.(contact) -. fw t p;
-    dec_relay t z contact
+  let st = t.st in
+  let z = st.zones.(id) in
+  let p = st.pop.(z) in
+  let target = st.targets.(z) in
+  let contact = st.contact.(id) in
+  if target <> Assignment.unassigned && contact <> Assignment.unassigned && contact <> target
+  then begin
+    st.loads.(contact) <- st.loads.(contact) -. fw t p;
+    dec_relay st z contact
   end;
-  Hashtbl.remove t.members.(z) id;
-  t.contact.(id) <- Assignment.unassigned;
+  Hashtbl.remove st.members.(z) id;
+  st.contact.(id) <- Assignment.unassigned;
   apply_pop_delta t z ~old_pop:p ~new_pop:(p - 1);
-  t.live <- t.live - 1;
-  mark_dirty t z
+  st.live <- st.live - 1;
+  st.dirty <- true
 
 (* ------------------------------------------------------------------ *)
-(* Books rebuild (used by create, restore-from-reopt)                  *)
+(* Books rebuild (used by create and after every re-optimization)      *)
 
 let rebuild_books t =
-  Array.fill t.pop 0 (Array.length t.pop) 0;
-  Array.fill t.loads 0 (Array.length t.loads) 0.;
-  Array.iter Hashtbl.reset t.members;
-  Array.iter Hashtbl.reset t.relay;
-  t.live <- 0;
-  t.shed <- 0;
-  t.unassigned_live <- 0;
-  for id = 0 to t.slots - 1 do
-    if t.status.(id) = st_live then begin
-      let z = t.zones.(id) in
-      t.pop.(z) <- t.pop.(z) + 1;
-      Hashtbl.replace t.members.(z) id ();
-      t.live <- t.live + 1
+  let st = t.st in
+  Array.fill st.pop 0 (Array.length st.pop) 0;
+  Array.fill st.loads 0 (Array.length st.loads) 0.;
+  Array.iter Hashtbl.reset st.members;
+  Array.iter Hashtbl.reset st.relay;
+  st.live <- 0;
+  st.shed <- 0;
+  for id = 0 to slot_count st - 1 do
+    if st.status.(id) = st_live then begin
+      let z = st.zones.(id) in
+      st.pop.(z) <- st.pop.(z) + 1;
+      Hashtbl.replace st.members.(z) id ();
+      st.live <- st.live + 1
     end
-    else if t.status.(id) = st_shed then t.shed <- t.shed + 1
+    else if st.status.(id) = st_shed then st.shed <- st.shed + 1
   done;
   Array.iteri
     (fun z target ->
       if target <> Assignment.unassigned then
-        t.loads.(target) <- t.loads.(target) +. zr t t.pop.(z))
-    t.targets;
-  for id = 0 to t.slots - 1 do
-    if t.status.(id) = st_live then begin
-      let z = t.zones.(id) in
-      let target = t.targets.(z) in
-      let contact = t.contact.(id) in
-      if contact = Assignment.unassigned then
-        t.unassigned_live <- t.unassigned_live + 1
-      else if target <> Assignment.unassigned && contact <> target then begin
-        t.loads.(contact) <- t.loads.(contact) +. fw t t.pop.(z);
-        inc_relay t z contact
+        st.loads.(target) <- st.loads.(target) +. zr t st.pop.(z))
+    st.targets;
+  for id = 0 to slot_count st - 1 do
+    if st.status.(id) = st_live then begin
+      let z = st.zones.(id) in
+      let target = st.targets.(z) in
+      let contact = st.contact.(id) in
+      if
+        target <> Assignment.unassigned
+        && contact <> Assignment.unassigned
+        && contact <> target
+      then begin
+        st.loads.(contact) <- st.loads.(contact) +. fw t st.pop.(z);
+        inc_relay st z contact
       end
     end
   done
@@ -277,71 +291,71 @@ let rebuild_books t =
 (* Materialisation and re-optimization                                 *)
 
 let materialize t =
-  let slots = Array.make t.live 0 in
+  let st = t.st in
+  let slots = Array.make st.live 0 in
   let cursor = ref 0 in
-  for id = 0 to t.slots - 1 do
-    if t.status.(id) = st_live then begin
+  for id = 0 to slot_count st - 1 do
+    if st.status.(id) = st_live then begin
       slots.(!cursor) <- id;
       incr cursor
     end
   done;
-  let client_nodes = Array.map (fun id -> t.nodes.(id)) slots in
-  let client_zones = Array.map (fun id -> t.zones.(id)) slots in
+  let client_nodes = Array.map (fun id -> st.nodes.(id)) slots in
+  let client_zones = Array.map (fun id -> st.zones.(id)) slots in
   let world = World.replace_clients t.base ~client_nodes ~client_zones in
-  let world = if Health.is_pristine t.health then world else Health.apply t.health world in
+  let world = if Health.is_pristine st.health then world else Health.apply st.health world in
   world, slots
 
-let assignment t =
-  let _, slots = materialize t in
-  Assignment.make ~target_of_zone:t.targets
-    ~contact_of_client:(Array.map (fun id -> t.contact.(id)) slots)
+let assignment_of t slots =
+  Assignment.make ~target_of_zone:t.st.targets
+    ~contact_of_client:(Array.map (fun id -> t.st.contact.(id)) slots)
+
+let assignment t = assignment_of t (snd (materialize t))
 
 let reopts_span = "service/reopt"
 
 let reopt t =
   Cap_obs.Span.with_span reopts_span @@ fun () ->
-  t.reopts <- t.reopts + 1;
-  t.since_reopt <- 0;
+  let st = t.st in
+  st.reopts <- st.reopts + 1;
+  st.since_reopt <- 0;
   let world, slots = materialize t in
-  let contacts = Array.map (fun id -> t.contact.(id)) slots in
-  let previous = Assignment.make ~target_of_zone:t.targets ~contact_of_client:contacts in
-  let alive = Health.alive_mask t.health in
+  let previous = assignment_of t slots in
+  let alive = Health.alive_mask st.health in
   let next, _migration =
     Incremental.refresh_with t.inc_state ~max_zone_moves:t.config.reopt_moves ~alive
       world ~previous
   in
-  Array.blit next.Assignment.target_of_zone 0 t.targets 0 (Array.length t.targets);
+  Array.blit next.Assignment.target_of_zone 0 st.targets 0 (Array.length st.targets);
   Array.iteri
-    (fun i id -> t.contact.(id) <- next.Assignment.contact_of_client.(i))
+    (fun i id -> st.contact.(id) <- next.Assignment.contact_of_client.(i))
     slots;
   rebuild_books t;
-  Hashtbl.reset t.dirty;
+  st.dirty <- false;
   (* re-admission sweep over the shed pool, ascending ids: strict — a
      client leaves the pool only for a real placement *)
   let readmits = ref [] in
-  for id = 0 to t.slots - 1 do
-    if t.status.(id) = st_shed && not (over_admission t) then begin
-      t.status.(id) <- st_free;
-      t.shed <- t.shed - 1;
+  for id = 0 to slot_count st - 1 do
+    if st.status.(id) = st_shed && not (over_admission t) then begin
+      st.status.(id) <- st_free;
+      st.shed <- st.shed - 1;
       match try_place t id with
       | Placed server ->
-          t.readmits_total <- t.readmits_total + 1;
+          st.readmits_total <- st.readmits_total + 1;
           readmits := Proto.Readmitted { id; server } :: !readmits
       | Zone_down | No_capacity ->
-          t.status.(id) <- st_shed;
-          t.shed <- t.shed + 1
+          st.status.(id) <- st_shed;
+          st.shed <- st.shed + 1
     end
   done;
   List.rev !readmits
 
 let maybe_reopt t =
-  if
-    t.config.reopt_every > 0
-    && t.since_reopt >= t.config.reopt_every
-  then
-    if Hashtbl.length t.dirty > 0 || t.shed > 0 then reopt t
+  let st = t.st in
+  if t.config.reopt_every > 0 && st.since_reopt >= t.config.reopt_every then
+    if st.dirty || st.shed > 0 then reopt t
     else begin
-      t.since_reopt <- 0;
+      st.since_reopt <- 0;
       []
     end
   else []
@@ -351,77 +365,69 @@ let maybe_reopt t =
 
 let rebuild_serving t =
   t.serving <-
-    (if Health.is_pristine t.health then t.base else Health.apply t.health t.base)
+    (if Health.is_pristine t.st.health then t.base else Health.apply t.st.health t.base)
+
+(* The join half of a join or move: slot [id] is free, with its node
+   and zone recorded. A mover displaced by capacity is shed, not
+   dropped. *)
+let admit t id =
+  let st = t.st in
+  if over_admission t then begin
+    shed_slot st id;
+    Proto.Shed { id; reason = Proto.Admission }
+  end
+  else
+    match try_place t id with
+    | Placed server -> Proto.Assigned { id; server }
+    | Zone_down ->
+        admit_zone_down t id;
+        st.sheds_total <- st.sheds_total + 1;
+        Proto.Shed { id; reason = Proto.Zone_down }
+    | No_capacity ->
+        shed_slot st id;
+        Proto.Shed { id; reason = Proto.Capacity }
 
 let handle_join t ~id ~node ~zone =
-  if t.status.(id) <> st_free then
+  let st = t.st in
+  if st.status.(id) <> st_free then
     Proto.Err (Printf.sprintf "join %d: id already known" id)
   else if node < 0 || node >= World.node_count t.base then
     Proto.Err (Printf.sprintf "join %d: node %d out of range" id node)
   else if zone < 0 || zone >= World.zone_count t.base then
     Proto.Err (Printf.sprintf "join %d: zone %d out of range" id zone)
   else begin
-    t.nodes.(id) <- node;
-    t.zones.(id) <- zone;
-    if over_admission t then begin
-      shed_slot t id;
-      Proto.Shed { id; reason = Proto.Admission }
-    end
-    else
-      match try_place t id with
-      | Placed server -> Proto.Assigned { id; server }
-      | Zone_down ->
-          admit_zone_down t id;
-          t.sheds_total <- t.sheds_total + 1;
-          Proto.Shed { id; reason = Proto.Zone_down }
-      | No_capacity ->
-          shed_slot t id;
-          Proto.Shed { id; reason = Proto.Capacity }
+    st.nodes.(id) <- node;
+    st.zones.(id) <- zone;
+    admit t id
   end
 
+(* Free a known slot: out of the shed pool, or out of the live books. *)
+let release t id =
+  let st = t.st in
+  if st.status.(id) = st_shed then st.shed <- st.shed - 1 else remove_live t id;
+  st.status.(id) <- st_free
+
+let known st id = id >= 0 && id < slot_count st && st.status.(id) <> st_free
+
 let handle_leave t ~id =
-  if id < 0 || id >= t.slots || t.status.(id) = st_free then
-    Proto.Err (Printf.sprintf "leave %d: unknown id" id)
+  if not (known t.st id) then Proto.Err (Printf.sprintf "leave %d: unknown id" id)
   else begin
-    if t.status.(id) = st_shed then t.shed <- t.shed - 1 else remove_live t id;
-    t.status.(id) <- st_free;
+    release t id;
     Proto.Left { id }
   end
 
 let handle_move t ~id ~zone =
-  if id < 0 || id >= t.slots || t.status.(id) = st_free then
-    Proto.Err (Printf.sprintf "move %d: unknown id" id)
+  if not (known t.st id) then Proto.Err (Printf.sprintf "move %d: unknown id" id)
   else if zone < 0 || zone >= World.zone_count t.base then
     Proto.Err (Printf.sprintf "move %d: zone %d out of range" id zone)
   else begin
-    (* leave-half (keeping the slot), then a join-half into the new
-       zone; a mover displaced by capacity is shed, not dropped *)
-    (if t.status.(id) = st_shed then begin
-       t.status.(id) <- st_free;
-       t.shed <- t.shed - 1
-     end
-     else begin
-       remove_live t id;
-       t.status.(id) <- st_free
-     end);
-    t.zones.(id) <- zone;
-    if over_admission t then begin
-      shed_slot t id;
-      Proto.Shed { id; reason = Proto.Admission }
-    end
-    else
-      match try_place t id with
-      | Placed server -> Proto.Assigned { id; server }
-      | Zone_down ->
-          admit_zone_down t id;
-          t.sheds_total <- t.sheds_total + 1;
-          Proto.Shed { id; reason = Proto.Zone_down }
-      | No_capacity ->
-          shed_slot t id;
-          Proto.Shed { id; reason = Proto.Capacity }
+    release t id;
+    t.st.zones.(id) <- zone;
+    admit t id
   end
 
 let handle_ctrl t ctrl =
+  let health = t.st.health in
   let servers = World.server_count t.base in
   let apply_ok what =
     rebuild_serving t;
@@ -434,14 +440,14 @@ let handle_ctrl t ctrl =
   | Proto.Crash s ->
       if s < 0 || s >= servers then Proto.[ Err (Printf.sprintf "crash: server %d out of range" s) ]
       else begin
-        Health.crash t.health s;
+        Health.crash health s;
         apply_ok (Printf.sprintf "crash %d" s)
       end
   | Proto.Recover s ->
       if s < 0 || s >= servers then
         Proto.[ Err (Printf.sprintf "recover: server %d out of range" s) ]
       else begin
-        Health.recover t.health s;
+        Health.recover health s;
         apply_ok (Printf.sprintf "recover %d" s)
       end
   | Proto.Degrade (s, ms) ->
@@ -449,62 +455,58 @@ let handle_ctrl t ctrl =
         Proto.[ Err (Printf.sprintf "degrade: server %d out of range" s) ]
       else if ms < 0. then Proto.[ Err "degrade: negative penalty" ]
       else begin
-        Health.degrade t.health s ~delay_penalty:ms;
+        Health.degrade health s ~delay_penalty:ms;
         apply_ok (Printf.sprintf "degrade %d" s)
       end
 
 let handle t event =
-  t.events <- t.events + 1;
-  t.since_reopt <- t.since_reopt + 1;
+  let st = t.st in
+  st.events <- st.events + 1;
+  st.since_reopt <- st.since_reopt + 1;
   match event with
   | Proto.Ctrl ctrl -> handle_ctrl t ctrl
   | Proto.Join { id; node; zone } ->
-      ensure_slot t id;
+      ensure_slot st id;
       handle_join t ~id ~node ~zone :: maybe_reopt t
   | Proto.Leave { id } -> handle_leave t ~id :: maybe_reopt t
   | Proto.Move { id; zone } -> handle_move t ~id ~zone :: maybe_reopt t
 
-let note_time t at = if at > t.stream_time then t.stream_time <- at
+let note_time t at = if at > t.st.stream_time then t.st.stream_time <- at
 
 let finalize t = reopt t
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
 
-let live_clients t = t.live
-let shed_pool t = t.shed
-let unassigned_live t = t.unassigned_live
-let events_seen t = t.events
-let sheds_total t = t.sheds_total
-let readmits_total t = t.readmits_total
-let reopts_total t = t.reopts
-let dirty_zones t = Hashtbl.length t.dirty
-let stream_time t = t.stream_time
+let live_clients t = t.st.live
+let shed_pool t = t.st.shed
+let events_seen t = t.st.events
+let sheds_total t = t.st.sheds_total
+let readmits_total t = t.st.readmits_total
+let reopts_total t = t.st.reopts
 
 let self_check t =
+  let st = t.st in
   let problems = ref [] in
   let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let world, slots = materialize t in
-  let a =
-    Assignment.make ~target_of_zone:t.targets
-      ~contact_of_client:(Array.map (fun id -> t.contact.(id)) slots)
-  in
+  let a = assignment_of t slots in
   (* populations *)
   let pop = World.zone_population world in
   Array.iteri
-    (fun z p -> if t.pop.(z) <> p then add "zone %d: tracked pop %d, world pop %d" z t.pop.(z) p)
+    (fun z p -> if st.pop.(z) <> p then add "zone %d: tracked pop %d, world pop %d" z st.pop.(z) p)
     pop;
   (* loads, against the from-scratch recomputation *)
   let loads = Assignment.server_loads a world in
   Array.iteri
     (fun s load ->
-      let tracked = t.loads.(s) in
+      let tracked = st.loads.(s) in
       let scale = Float.max 1. (Float.max (Float.abs load) (Float.abs tracked)) in
       if Float.abs (load -. tracked) > 1e-6 *. scale then
         add "server %d: tracked load %.3f, recomputed %.3f" s tracked load)
     loads;
   (* structural, liveness, partition and capacity validity *)
-  List.iter (fun v -> add "assignment: %s" v) (Assignment.violations ~health:t.health a world);
+  List.iter (fun v -> add "assignment: %s" v) (Assignment.violations ~health:st.health a world);
   List.rev !problems
 
 (* ------------------------------------------------------------------ *)
@@ -517,8 +519,14 @@ let validate_config config =
   | Some cap when cap < 0 -> invalid_arg "Engine: max_inflight must be >= 0"
   | Some _ | None -> ()
 
-let create ~world ~assignment config =
+(* An engine over [st], with what the world rebuilds. *)
+let of_state ~world config st =
   validate_config config;
+  let t = { base = world; config; inc_state = Incremental.make_state world; serving = world; st } in
+  rebuild_serving t;
+  t
+
+let create ~world ~assignment config =
   let zones = World.zone_count world in
   let servers = World.server_count world in
   let k0 = World.client_count world in
@@ -527,27 +535,21 @@ let create ~world ~assignment config =
   if Array.length assignment.Assignment.contact_of_client <> k0 then
     invalid_arg "Engine.create: assignment does not match the world's clients";
   let slots = max 16 k0 in
-  let t =
+  let st =
     {
-      base = world;
-      config;
       health = Health.create ~servers;
-      serving = world;
       nodes = Array.make slots 0;
       zones = Array.make slots 0;
       contact = Array.make slots Assignment.unassigned;
       status = Array.make slots st_free;
-      slots;
       live = 0;
       shed = 0;
-      unassigned_live = 0;
       targets = Array.copy assignment.Assignment.target_of_zone;
       pop = Array.make zones 0;
       loads = Array.make servers 0.;
       members = Array.init zones (fun _ -> Hashtbl.create 16);
       relay = Array.init zones (fun _ -> Hashtbl.create 8);
-      dirty = Hashtbl.create 64;
-      inc_state = Incremental.make_state world;
+      dirty = false;
       events = 0;
       sheds_total = 0;
       readmits_total = 0;
@@ -556,132 +558,37 @@ let create ~world ~assignment config =
       stream_time = 0.;
     }
   in
-  Array.blit world.World.client_nodes 0 t.nodes 0 k0;
-  Array.blit world.World.client_zones 0 t.zones 0 k0;
-  Array.blit assignment.Assignment.contact_of_client 0 t.contact 0 k0;
-  Array.fill t.status 0 k0 st_live;
+  Array.blit world.World.client_nodes 0 st.nodes 0 k0;
+  Array.blit world.World.client_zones 0 st.zones 0 k0;
+  Array.blit assignment.Assignment.contact_of_client 0 st.contact 0 k0;
+  Array.fill st.status 0 k0 st_live;
+  let t = of_state ~world config st in
   rebuild_books t;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
 
-type checkpoint = {
-  ck_scenario : string;
-  ck_slots : int;
-  ck_nodes : int array;
-  ck_zones : int array;
-  ck_contact : int array;
-  ck_status : int array;
-  ck_targets : int array;
-  ck_pop : int array;
-  ck_loads : float array;  (* verbatim, for bitwise-identical resume *)
-  ck_relay : (int * int * int) array;  (* zone, contact server, count *)
-  ck_alive : bool array;
-  ck_penalty : float array;
-  ck_live : int;
-  ck_shed : int;
-  ck_unassigned_live : int;
-  ck_events : int;
-  ck_sheds_total : int;
-  ck_readmits_total : int;
-  ck_reopts : int;
-  ck_since_reopt : int;
-  ck_stream_time : float;
-  ck_dirty : int array;
-}
+type checkpoint = state
 
-let checkpoint t =
-  let relay =
-    Array.of_list
-      (List.concat
-         (List.init (Array.length t.relay) (fun z ->
-              Hashtbl.fold (fun s count acc -> (z, s, count) :: acc) t.relay.(z) []
-              |> List.sort compare)))
-  in
-  let dirty = Hashtbl.fold (fun z () acc -> z :: acc) t.dirty [] in
-  {
-    ck_scenario = Scenario.notation t.base.World.scenario;
-    ck_slots = t.slots;
-    ck_nodes = Array.copy t.nodes;
-    ck_zones = Array.copy t.zones;
-    ck_contact = Array.copy t.contact;
-    ck_status = Array.copy t.status;
-    ck_targets = Array.copy t.targets;
-    ck_pop = Array.copy t.pop;
-    ck_loads = Array.copy t.loads;
-    ck_relay = relay;
-    ck_alive = Health.alive_mask t.health;
-    ck_penalty = Array.copy t.health.Health.delay_penalty;
-    ck_live = t.live;
-    ck_shed = t.shed;
-    ck_unassigned_live = t.unassigned_live;
-    ck_events = t.events;
-    ck_sheds_total = t.sheds_total;
-    ck_readmits_total = t.readmits_total;
-    ck_reopts = t.reopts;
-    ck_since_reopt = t.since_reopt;
-    ck_stream_time = t.stream_time;
-    ck_dirty = Array.of_list (List.sort compare dirty);
-  }
+(* A deep copy through Marshal without [Closures]: it raises if a
+   closure ever reaches the state, which would also break resume across
+   processes. *)
+let copy (x : 'a) : 'a = Marshal.from_string (Marshal.to_string x []) 0
 
-let checkpoint_events ck = ck.ck_events
-let checkpoint_clients ck = ck.ck_live
-
-let fingerprint t =
-  (* The checkpoint is canonical plain data (relay and dirty sets are
-     sorted), so the digest is a faithful state fingerprint: two
-     engines fingerprint equal iff a resumed run is bitwise on track. *)
-  Digest.to_hex (Digest.string (Marshal.to_string (checkpoint t) []))
+let checkpoint t = copy t.st
+let checkpoint_events ck = ck.events
+let checkpoint_clients ck = ck.live
+let fingerprint t = Digest.to_hex (Digest.string (Marshal.to_string t.st []))
 
 let restore ~world config ck =
-  validate_config config;
   let zones = World.zone_count world in
   let servers = World.server_count world in
-  if Array.length ck.ck_targets <> zones || Array.length ck.ck_loads <> servers then
-    invalid_arg "Engine.restore: checkpoint does not match the world's shape";
-  let health = Health.create ~servers in
-  Array.iteri (fun s alive -> if not alive then Health.crash health s) ck.ck_alive;
-  Array.iteri
-    (fun s penalty ->
-      if penalty > 0. then Health.degrade health s ~delay_penalty:penalty)
-    ck.ck_penalty;
-  let t =
-    {
-      base = world;
-      config;
-      health;
-      serving = world;
-      nodes = Array.copy ck.ck_nodes;
-      zones = Array.copy ck.ck_zones;
-      contact = Array.copy ck.ck_contact;
-      status = Array.copy ck.ck_status;
-      slots = ck.ck_slots;
-      live = ck.ck_live;
-      shed = ck.ck_shed;
-      unassigned_live = ck.ck_unassigned_live;
-      targets = Array.copy ck.ck_targets;
-      pop = Array.copy ck.ck_pop;
-      loads = Array.copy ck.ck_loads;
-      members = Array.init zones (fun _ -> Hashtbl.create 16);
-      relay = Array.init zones (fun _ -> Hashtbl.create 8);
-      dirty = Hashtbl.create 64;
-      inc_state = Incremental.make_state world;
-      events = ck.ck_events;
-      sheds_total = ck.ck_sheds_total;
-      readmits_total = ck.ck_readmits_total;
-      reopts = ck.ck_reopts;
-      since_reopt = ck.ck_since_reopt;
-      stream_time = ck.ck_stream_time;
-    }
-  in
-  rebuild_serving t;
-  (* membership and relay tables from the captured arrays; loads stay
-     the captured values verbatim so the restored engine is
-     bitwise-identical to the one that wrote the checkpoint *)
-  for id = 0 to t.slots - 1 do
-    if t.status.(id) = st_live then Hashtbl.replace t.members.(t.zones.(id)) id ()
-  done;
-  Array.iter (fun (z, s, count) -> Hashtbl.replace t.relay.(z) s count) ck.ck_relay;
-  Array.iter (fun z -> Hashtbl.replace t.dirty z ()) ck.ck_dirty;
-  t
+  if
+    Array.length ck.targets <> zones
+    || Array.length ck.members <> zones
+    || Array.length ck.relay <> zones
+    || Array.length ck.loads <> servers
+    || Health.server_count ck.health <> servers
+  then invalid_arg "Engine.restore: checkpoint does not match the world's shape";
+  of_state ~world config (copy ck)

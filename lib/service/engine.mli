@@ -20,8 +20,8 @@
     target, or a zone currently unassigned — and periodically
     re-admitted.
 
-    Zones whose population changed are tracked in a dirty set; every
-    [reopt_every] events a background re-optimization runs
+    Every [reopt_every] events, if a zone's population changed or a
+    client is shed, a background re-optimization runs
     {!Cap_core.Incremental.refresh_with} (bounded zone moves + a full
     GreC refine pass) against the materialised world, using scratch
     reused across calls and matrix fills that are row-parallel over
@@ -75,15 +75,10 @@ val live_clients : t -> int
 val shed_pool : t -> int
 (** Clients currently shed (not serving). *)
 
-val unassigned_live : t -> int
-(** Live clients whose zone is unassigned (in-world shed state). *)
-
 val events_seen : t -> int
 val sheds_total : t -> int
 val readmits_total : t -> int
 val reopts_total : t -> int
-val dirty_zones : t -> int
-val stream_time : t -> float
 
 val materialize : t -> Cap_model.World.t * int array
 (** The current world — the base topology with exactly the live
@@ -101,23 +96,38 @@ val self_check : t -> string list
     (structure, liveness, partitions, capacity). Empty = consistent.
     O(k·m). *)
 
-(** {1 Checkpointing} *)
+(** {1 Checkpointing}
+
+    The engine is one plain-data state record — client registry,
+    zone targets, the delta-maintained populations, loads and relay
+    counts, the health mask (server and link state), counters and the
+    stream clock — plus what is rebuilt from the world it runs on. A
+    {!checkpoint} is a deep copy of that record: nothing in it is
+    re-derived on {!restore} (the loads are running sums a
+    recomputation would not reproduce bit for bit), so a field added
+    to the record is checkpointed with no other edit, and a restored
+    engine is bitwise-identical to the one that wrote the
+    checkpoint. *)
 
 type checkpoint
-(** Plain marshalable data: registry arrays, target map, verbatim
-    load/relay state (so a restored engine is bitwise-identical to
-    the captured one), health, counters and the stream clock. *)
+(** The state record, copied: plain marshalable data. *)
 
 val checkpoint : t -> checkpoint
 
 val restore : world:Cap_model.World.t -> config -> checkpoint -> t
-(** Rebuild a live engine against the same regenerated base world.
-    Raises [Invalid_argument] on a world-shape mismatch. *)
+(** A live engine over a copy of the checkpoint, against the same
+    regenerated base world. Raises [Invalid_argument] on a
+    world-shape mismatch (zone or server count). *)
 
 val checkpoint_events : checkpoint -> int
 val checkpoint_clients : checkpoint -> int
 
 val fingerprint : t -> string
-(** Hex digest of the marshalled (canonical) checkpoint: two engines
-    fingerprint equal exactly when their checkpointable state is
-    identical. The basis of the kill/replay identity tests. *)
+(** Hex digest of the marshalled state record: two engines fingerprint
+    equal exactly when their state records are identical, value for
+    value, including the layout of the membership and relay hash
+    tables. The engine is deterministic and a checkpoint copies that
+    layout, so an engine restored from another's checkpoint, or
+    replayed from the same start over the same events, fingerprints
+    equal to the uninterrupted engine. The basis of the kill/replay
+    identity tests. *)

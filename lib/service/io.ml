@@ -98,7 +98,6 @@ module Mem = struct
     { files; journal = [] }
 
   let journal fs = List.rev fs.journal
-  let clear_journal fs = fs.journal <- []
   let note fs e = fs.journal <- e :: fs.journal
 
   let contents f = Bytes.sub_string f.data 0 f.len

@@ -62,8 +62,6 @@ module Mem : sig
   val journal : fs -> entry list
   (** Every mutation so far, oldest first. *)
 
-  val clear_journal : fs -> unit
-
   val apply : fs -> entry -> unit
   (** Replay one journal entry onto another filesystem. *)
 

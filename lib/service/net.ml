@@ -20,7 +20,6 @@ module Framer = struct
     { buf = Buffer.create 128; bound = max_line_bytes; seen = 0; over = false }
 
   let pending t = Buffer.length t.buf
-  let mid_line t = t.seen > 0
 
   let feed t chunk =
     let out = ref [] in

@@ -64,9 +64,6 @@ module Framer : sig
 
   val pending : t -> int
   (** Bytes currently buffered (always [<= max_line_bytes]). *)
-
-  val mid_line : t -> bool
-  (** [true] when bytes of an incomplete line have been seen. *)
 end
 
 (** {1 Token-bucket rate limiting} *)

@@ -836,7 +836,6 @@ let open_tailer ?(io = Io.real) ?(from = 0) ~path () =
                       t_closed = false;
                     })))
 
-let tailer_path t = t.t_base
 let tailer_records t = t.t_pos
 
 let poll t =

@@ -92,7 +92,6 @@ type read_error =
   | Corrupted of { index : int; reason : string }
       (** record [index] (0-based) is damaged mid-log *)
 
-val describe_tail : tail -> string
 val describe_read_error : read_error -> string
 
 val log_exists : ?io:Io.t -> path:string -> unit -> bool
@@ -197,8 +196,6 @@ val poll : tailer -> (string list, read_error) result
 (** Records that became complete since the last poll (possibly none).
     An incomplete record at the tail is not an error — it is simply
     withheld until a later poll sees the rest of its bytes. *)
-
-val tailer_path : tailer -> string
 
 val tailer_records : tailer -> int
 (** Absolute index of the next record the tailer will deliver. *)

@@ -128,11 +128,10 @@ type live_client = {
    data. Together with the original config, world and algorithm it
    fully determines the rest of the run, so a checkpoint is simply a
    deep copy of it: a field added here is checkpointed with no further
-   edit. Only the queue is converted at that boundary, because its heap
-   holds a comparison closure. *)
-type 'queue state = {
+   edit. *)
+type state = {
   rng : Rng.t;
-  queue : 'queue;
+  queue : event Event_queue.t;
   clients : (int, live_client) Hashtbl.t;
   mutable next_id : int;
   mutable targets : int array;
@@ -148,19 +147,18 @@ type 'queue state = {
   mutable last_sample : float;
   mutable last_threshold_reassign : float;
   mutable last_checkpoint : float;
-  mutable telemetry : ((string * (string * string) list) * float) list;
-      (* counter and gauge values, taken when a checkpoint is written *)
+  mutable telemetry : ((string * (string * string) list) * Cap_obs.Metrics.data) list;
+      (* every instrument's values, taken when a checkpoint is written *)
 }
 
-type live = event Event_queue.t state
-type checkpoint = event Event_queue.dump state
+type checkpoint = state
 
 (* A deep copy through Marshal without [Closures]: it raises if a
    closure ever reaches the state, which would also break resume across
    processes. *)
 let copy (x : 'a) : 'a = Marshal.from_string (Marshal.to_string x []) 0
 
-let checkpoint_time (ck : checkpoint) = ck.queue.Event_queue.clock
+let checkpoint_time (ck : checkpoint) = Event_queue.now ck.queue
 let checkpoint_clients (ck : checkpoint) = Hashtbl.length ck.clients
 let checkpoint_rng_state (ck : checkpoint) = Rng.state ck.rng
 
@@ -545,7 +543,7 @@ let sample_metrics env st at =
 (* The fresh state: the world's population, assigned by the algorithm,
    with the first arrival, sample, reassignment, flash crowd and every
    fault already queued. *)
-let init env rng : live =
+let init env rng =
   let world = env.world in
   let st =
     {
@@ -587,19 +585,20 @@ let init env rng : live =
 
 (* The state a checkpoint holds, validated against the world it resumes
    on. Pending events (arrivals, samples, faults, retries) are all in
-   the restored queue. *)
-let of_checkpoint env (ck : checkpoint) : live =
-  let ck = copy ck in
+   the copied queue, which is checked because it may come from disk. *)
+let of_checkpoint env (ck : checkpoint) =
+  let st = copy ck in
   if
-    Array.length ck.targets <> World.zone_count env.world
-    || Health.server_count ck.health <> World.server_count env.world
+    Array.length st.targets <> World.zone_count env.world
+    || Health.server_count st.health <> World.server_count env.world
   then invalid_arg "Dve_sim.resume: checkpoint does not match the world";
-  Cap_obs.Metrics.restore_values ck.telemetry;
-  { ck with queue = Event_queue.restore ck.queue }
+  Event_queue.check st.queue;
+  Cap_obs.Metrics.restore_values st.telemetry;
+  st
 
-let to_checkpoint (st : live) : checkpoint =
+let to_checkpoint st =
   st.telemetry <- Cap_obs.Metrics.export_values ();
-  copy { st with queue = Event_queue.dump st.queue }
+  copy st
 
 let fault_event env st at = function
   | Fault.Crash s ->

@@ -141,12 +141,14 @@ type outcome = {
     The simulator is a state machine over one state record: the RNG,
     clients, zone targets, pending events (arrivals, samples, faults,
     retries), health mask including per-link state, trace so far,
-    fault counters, open crash and partition episodes, and telemetry
-    values. A {!checkpoint} is a deep copy of that record, with the
-    event queue in its closure-free {!Event_queue.dump} form. Together
-    with the original [config], [world] and [algorithm], it determines
-    the rest of the run exactly: {!resume} produces the same trace,
-    bit for bit, as the uninterrupted run would have. *)
+    fault counters, open crash and partition episodes, and the values
+    of every telemetry instrument (counters, gauges and histograms). A
+    {!checkpoint} is a deep copy of that record, event queue included:
+    every field is plain data, so a field added to the record is
+    checkpointed with no other edit. Together with the original
+    [config], [world] and [algorithm], it determines the rest of the
+    run exactly: {!resume} produces the same trace, bit for bit, as the
+    uninterrupted run would have. *)
 
 type checkpoint
 

@@ -12,20 +12,18 @@ type 'a t = {
   mutable clock : float;
 }
 
-let compare_entry a b =
-  match compare a.time b.time with 0 -> compare a.seq b.seq | c -> c
+let cmp a b = match compare a.time b.time with 0 -> compare a.seq b.seq | c -> c
 
-let create () =
-  { heap = Binary_heap.create ~cmp:compare_entry (); next_seq = 0; clock = 0. }
+let create () = { heap = Binary_heap.create (); next_seq = 0; clock = 0. }
 
 let schedule t ~time payload =
   if Float.is_nan time || time < 0. then invalid_arg "Event_queue.schedule: bad time";
   if time < t.clock then invalid_arg "Event_queue.schedule: scheduling into the past";
-  Binary_heap.add t.heap { time; seq = t.next_seq; payload };
+  Binary_heap.add ~cmp t.heap { time; seq = t.next_seq; payload };
   t.next_seq <- t.next_seq + 1
 
 let next t =
-  match Binary_heap.pop t.heap with
+  match Binary_heap.pop ~cmp t.heap with
   | None -> None
   | Some entry ->
       t.clock <- entry.time;
@@ -38,43 +36,18 @@ let now t = t.clock
 let length t = Binary_heap.length t.heap
 let is_empty t = Binary_heap.is_empty t.heap
 
-type 'a dump = {
-  entries : (float * int * 'a) array;
-  next_seq : int;
-  clock : float;
-}
-
-let dump t =
-  let entries =
-    Array.map (fun e -> (e.time, e.seq, e.payload)) (Binary_heap.elements t.heap)
-  in
-  (* Canonical delivery order, so equal queue states dump equally no
-     matter how the heap array happens to be laid out. *)
-  Array.sort
-    (fun (ta, sa, _) (tb, sb, _) ->
-      match compare ta tb with 0 -> compare sa sb | c -> c)
-    entries;
-  { entries; next_seq = t.next_seq; clock = t.clock }
-
-let restore d =
-  if Float.is_nan d.clock || d.clock < 0. then
-    invalid_arg "Event_queue.restore: bad clock";
-  let seqs = Hashtbl.create (Array.length d.entries) in
+let check t =
+  if Float.is_nan t.clock || t.clock < 0. then invalid_arg "Event_queue.check: bad clock";
+  let entries = Binary_heap.elements t.heap in
+  let seqs = Hashtbl.create (Array.length entries) in
   Array.iter
-    (fun (time, seq, _) ->
-      if Float.is_nan time || time < d.clock then
-        invalid_arg "Event_queue.restore: entry before the clock";
-      if seq < 0 || seq >= d.next_seq then
-        invalid_arg "Event_queue.restore: sequence number out of range";
-      if Hashtbl.mem seqs seq then
-        invalid_arg "Event_queue.restore: duplicate sequence number";
-      Hashtbl.replace seqs seq ())
-    d.entries;
-  let entries =
-    Array.map (fun (time, seq, payload) -> { time; seq; payload }) d.entries
-  in
-  {
-    heap = Binary_heap.of_array ~cmp:compare_entry entries;
-    next_seq = d.next_seq;
-    clock = d.clock;
-  }
+    (fun e ->
+      if Float.is_nan e.time || e.time < t.clock then
+        invalid_arg "Event_queue.check: entry before the clock";
+      if e.seq < 0 || e.seq >= t.next_seq then
+        invalid_arg "Event_queue.check: sequence number out of range";
+      if Hashtbl.mem seqs e.seq then invalid_arg "Event_queue.check: duplicate sequence number";
+      Hashtbl.replace seqs e.seq ())
+    entries;
+  if not (Binary_heap.is_heap ~cmp t.heap) then
+    invalid_arg "Event_queue.check: entries out of heap order"

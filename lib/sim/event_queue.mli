@@ -1,9 +1,26 @@
 (** Time-ordered event queue for discrete-event simulation.
 
     Events with equal timestamps are delivered in insertion order
-    (FIFO), which keeps simulations deterministic. *)
+    (FIFO), which keeps simulations deterministic.
 
-type 'a t
+    A queue is plain data: no closure, so a deep copy (or a marshalled
+    snapshot) of it is a queue that delivers the same events in the
+    same order and continues the same tie numbering. The
+    representation is exposed so that a queue read back from disk can
+    be inspected and {!check}ed; change a live queue only through the
+    functions below. *)
+
+type 'a entry = {
+  time : float;
+  seq : int;  (** insertion number: the tie-break between equal times *)
+  payload : 'a;
+}
+
+type 'a t = {
+  heap : 'a entry Cap_util.Binary_heap.t;  (** min-heap by (time, seq) *)
+  mutable next_seq : int;
+  mutable clock : float;
+}
 
 val create : unit -> 'a t
 
@@ -22,23 +39,9 @@ val now : 'a t -> float
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-(** Persistent queue state, for checkpointing a running simulation.
-    Contains no closures, so it can be marshalled as long as the
-    payload type is plain data. *)
-type 'a dump = {
-  entries : (float * int * 'a) array;
-      (** (time, sequence, payload) in delivery order *)
-  next_seq : int;
-  clock : float;
-}
-
-val dump : 'a t -> 'a dump
-(** Capture the pending events, tie-break counter and clock. The queue
-    is unchanged. *)
-
-val restore : 'a dump -> 'a t
-(** Rebuild a queue that delivers exactly the dumped events in the
-    dumped order and then continues numbering from [next_seq].
-    Raises [Invalid_argument] on an internally inconsistent dump
-    (entries before the clock, duplicate or out-of-range sequence
-    numbers, NaN times). *)
+val check : 'a t -> unit
+(** Raise [Invalid_argument] unless the queue is internally
+    consistent: a non-negative clock, no entry before it or at a NaN
+    time, sequence numbers distinct and below [next_seq], and the heap
+    in (time, seq) order. Always holds for a queue built through this
+    interface; the check is for one read back from a snapshot. *)

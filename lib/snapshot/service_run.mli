@@ -6,10 +6,10 @@
     Like {!Sim_run}, the world is not serialised: the spec records
     scenario notation, seed and a content {!Sim_run.fingerprint} of
     the generated world, and resume refuses to continue against a
-    world whose fingerprint differs. The engine state is stored
-    verbatim ({!Cap_service.Engine.checkpoint}), so a daemon restored
-    mid-stream continues bitwise-identically to one that was never
-    interrupted. *)
+    world whose fingerprint differs. The engine state is stored as
+    the engine's own state record ({!Cap_service.Engine.checkpoint}, a
+    deep copy with nothing re-derived), so a daemon restored mid-stream
+    continues bitwise-identically to one that was never interrupted. *)
 
 type spec = {
   scenario : string;  (** notation exactly as in the stream's hello *)

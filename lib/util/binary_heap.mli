@@ -1,13 +1,16 @@
 (** Polymorphic array-backed binary min-heap.
 
-    Ordering is supplied at creation time via a [compare]-style
-    function. Used for event queues and other priority scheduling. *)
+    The heap is plain data: it holds no closure, so it can be
+    marshalled (or deep-copied) whenever its elements can. The order
+    is a [compare]-style [~cmp] argument of every operation that
+    reorders elements; a heap must always be used with the same [cmp].
+    Used for event queues and other priority scheduling. *)
 
 type 'a t
 
-val create : ?capacity:int -> cmp:('a -> 'a -> int) -> unit -> 'a t
-(** [create ~cmp ()] is an empty heap ordered by [cmp] (minimum on
-    top). *)
+val create : ?capacity:int -> unit -> 'a t
+(** An empty heap (minimum on top once filled). [capacity] sizes the
+    backing array made by the first {!add}. *)
 
 val of_array : cmp:('a -> 'a -> int) -> 'a array -> 'a t
 (** Bottom-up heapify in O(n). The array is not modified. *)
@@ -15,21 +18,27 @@ val of_array : cmp:('a -> 'a -> int) -> 'a array -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val add : 'a t -> 'a -> unit
+val add : cmp:('a -> 'a -> int) -> 'a t -> 'a -> unit
 (** O(log n) insertion. *)
 
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 
-val pop : 'a t -> 'a option
+val pop : cmp:('a -> 'a -> int) -> 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
-val pop_exn : 'a t -> 'a
+val pop_exn : cmp:('a -> 'a -> int) -> 'a t -> 'a
 (** Like {!pop} but raises [Invalid_argument] on an empty heap. *)
 
 val elements : 'a t -> 'a array
 (** Copy of the current contents in unspecified (heap-internal) order;
-    the heap is unchanged. For persisting queue state in snapshots. *)
+    the heap is unchanged. *)
 
-val drain : 'a t -> 'a list
+val drain : cmp:('a -> 'a -> int) -> 'a t -> 'a list
 (** Remove all elements in ascending order. *)
+
+val is_heap : cmp:('a -> 'a -> int) -> 'a t -> bool
+(** The heap is well formed under [cmp]: its size fits its array and
+    no element sorts before its parent. Always true for a heap built
+    only through this interface; the check is for one read back from
+    disk. O(n). *)

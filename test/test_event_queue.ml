@@ -71,57 +71,64 @@ let drain_all q =
   in
   go []
 
-let test_dump_restore_roundtrip () =
+(* A checkpoint is a deep copy: the queue is plain data, so a marshal
+   round trip is exactly what a snapshot on disk gives back. *)
+let copy (q : 'a Eq.t) : 'a Eq.t = Marshal.from_string (Marshal.to_string q []) 0
+
+let test_copy_roundtrip () =
   let q = Eq.create () in
   Eq.schedule q ~time:1. "a";
   Eq.schedule q ~time:3. "c";
   Eq.schedule q ~time:1. "a2" (* FIFO tie with "a" *);
   Eq.schedule q ~time:2. "b";
   ignore (Eq.next q) (* pop "a": clock = 1 *);
-  let d = Eq.dump q in
-  let q' = Eq.restore d in
-  Alcotest.(check (float 1e-9)) "clock restored" (Eq.now q) (Eq.now q');
-  Alcotest.(check int) "length restored" (Eq.length q) (Eq.length q');
+  let q' = copy q in
+  Eq.check q';
+  Alcotest.(check (float 1e-9)) "clock copied" (Eq.now q) (Eq.now q');
+  Alcotest.(check int) "length copied" (Eq.length q) (Eq.length q');
   Alcotest.(check (list (pair (float 1e-9) string)))
     "identical delivery" (drain_all q) (drain_all q')
 
-let test_restore_preserves_tie_numbering () =
-  (* a restored queue interleaves old and new same-time events exactly
+let test_copy_preserves_tie_numbering () =
+  (* a copied queue interleaves old and new same-time events exactly
      as the original would: old events keep their sequence numbers and
      new ones continue from next_seq *)
   let q = Eq.create () in
   Eq.schedule q ~time:5. "old1";
   Eq.schedule q ~time:5. "old2";
-  let q' = Eq.restore (Eq.dump q) in
+  let q' = copy q in
   List.iter
     (fun q ->
       Eq.schedule q ~time:5. "new";
       Alcotest.(check (list (pair (float 1e-9) string)))
-        "FIFO across restore"
+        "FIFO across a copy"
         [ (5., "old1"); (5., "old2"); (5., "new") ]
         (drain_all q))
     [ q; q' ]
 
-let test_restore_rejects_inconsistent () =
-  let entry time seq payload = (time, seq, payload) in
-  let reject name d =
-    match Eq.restore d with
-    | _ -> Alcotest.failf "restore accepted %s" name
+let test_check_rejects_inconsistent () =
+  let entry time seq = { Eq.time; seq; payload = () } in
+  let queue ?(next_seq = 2) ?(clock = 0.) ?(cmp = compare) entries =
+    { Eq.heap = Cap_util.Binary_heap.of_array ~cmp (Array.of_list entries); next_seq; clock }
+  in
+  let reject name q =
+    match Eq.check q with
+    | () -> Alcotest.failf "check accepted %s" name
     | exception Invalid_argument _ -> ()
   in
-  reject "entry before clock"
-    { Eq.entries = [| entry 1. 0 () |]; next_seq = 1; clock = 2. };
-  reject "duplicate sequence numbers"
-    { Eq.entries = [| entry 1. 0 (); entry 2. 0 () |]; next_seq = 2; clock = 0. };
-  reject "sequence beyond next_seq"
-    { Eq.entries = [| entry 1. 5 () |]; next_seq = 1; clock = 0. };
-  reject "NaN time" { Eq.entries = [| entry Float.nan 0 () |]; next_seq = 1; clock = 0. };
-  reject "negative clock" { Eq.entries = [||]; next_seq = 0; clock = -1. }
+  Eq.check (queue [ entry 1. 0; entry 1. 1 ]);
+  reject "entry before clock" (queue ~clock:2. [ entry 1. 0 ]);
+  reject "duplicate sequence numbers" (queue [ entry 1. 0; entry 2. 0 ]);
+  reject "sequence beyond next_seq" (queue ~next_seq:1 [ entry 1. 5 ]);
+  reject "NaN time" (queue [ entry Float.nan 0 ]);
+  reject "negative clock" (queue ~clock:(-1.) []);
+  reject "NaN clock" (queue ~clock:Float.nan []);
+  reject "heap out of order" (queue ~cmp:(fun a b -> compare b a) [ entry 1. 0; entry 2. 1 ])
 
-let prop_dump_restore_identical =
-  (* After a random schedule/pop prefix, the restored queue delivers the
+let prop_copy_identical =
+  (* After a random schedule/pop prefix, the copied queue delivers the
      same suffix as the original. *)
-  QCheck.Test.make ~name:"dump/restore preserves the delivery sequence" ~count:200
+  QCheck.Test.make ~name:"copy preserves the delivery sequence" ~count:200
     QCheck.(pair (list (float_range 0. 100.)) (int_range 0 20))
     (fun (times, pops) ->
       let q = Eq.create () in
@@ -129,7 +136,8 @@ let prop_dump_restore_identical =
       for _ = 1 to pops do
         ignore (Eq.next q)
       done;
-      let q' = Eq.restore (Eq.dump q) in
+      let q' = copy q in
+      Eq.check q';
       drain_all q = drain_all q')
 
 let tests =
@@ -142,10 +150,10 @@ let tests =
         case "no scheduling into past" test_no_scheduling_into_past;
         case "bad times" test_bad_times;
         case "peek and length" test_peek_and_length;
-        case "dump/restore roundtrip" test_dump_restore_roundtrip;
-        case "restore preserves tie numbering" test_restore_preserves_tie_numbering;
-        case "restore rejects inconsistent dumps" test_restore_rejects_inconsistent;
+        case "copy roundtrip" test_copy_roundtrip;
+        case "copy preserves tie numbering" test_copy_preserves_tie_numbering;
+        case "check rejects inconsistent queues" test_check_rejects_inconsistent;
         QCheck_alcotest.to_alcotest prop_drains_in_order;
-        QCheck_alcotest.to_alcotest prop_dump_restore_identical;
+        QCheck_alcotest.to_alcotest prop_copy_identical;
       ] );
   ]

@@ -306,6 +306,68 @@ let test_service_snapshot_round_trip () =
               | Error _ -> ()
               | Ok _ -> Alcotest.fail "resume against the wrong world must fail")))
 
+(* Two hops through save/load, with crash, degrade and recover on both
+   sides of each: the twice-resumed engine answers, assigns and
+   fingerprints exactly as the engine that never stopped. A server is
+   down at each hop and neither hop falls on a re-optimization, so the
+   health mask and the re-optimization cadence both have to cross. *)
+let test_chained_resume_through_disk () =
+  let seed = 14 in
+  let config = { Engine.default_config with Engine.reopt_every = 64 } in
+  let world, reference = make_engine ~config seed in
+  let events = Array.of_list (event_log ~events:900 world seed) in
+  let n = Array.length events in
+  let slice lo hi = Array.to_list (Array.sub events lo (hi - lo)) in
+  let ctrl c = [ Proto.Ctrl c ] in
+  let a = n / 3 and b = 2 * n / 3 in
+  let segments =
+    [
+      slice 0 (a - 40) @ ctrl (Proto.Crash 1) @ ctrl (Proto.Degrade (2, 40.)) @ slice (a - 40) a;
+      slice a (a + 30) @ ctrl (Proto.Recover 1) @ slice (a + 30) (b - 50)
+      @ ctrl (Proto.Crash 3) @ ctrl (Proto.Degrade (0, 25.)) @ slice (b - 50) b;
+      slice b (b + 20) @ ctrl (Proto.Recover 3) @ ctrl (Proto.Degrade (2, 0.)) @ slice (b + 20) n;
+    ]
+  in
+  let run engine segment = responses_to_string (apply_all engine segment) in
+  let expected = List.map (run reference) segments in
+  let expected_final = responses_to_string (Engine.finalize reference) in
+  let through_disk engine =
+    let snap =
+      Service_run.of_engine ~scenario:(Scenario.notation service_scenario) ~seed ~world config
+        engine
+    in
+    let path = Filename.temp_file "cap_service_chain" ".bin" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        (match Service_run.save ~path snap with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "save failed: %s" (Cap_snapshot.Envelope.describe e));
+        match Service_run.load ~path with
+        | Error e -> Alcotest.failf "load failed: %s" (Cap_snapshot.Envelope.describe e)
+        | Ok loaded -> (
+            match Service_run.resume ~world:(make_world seed) loaded with
+            | Ok engine -> engine
+            | Error m -> Alcotest.failf "resume failed: %s" m))
+  in
+  let _, first = make_engine ~config seed in
+  let got_first = run first (List.nth segments 0) in
+  let second = through_disk first in
+  let got_second = run second (List.nth segments 1) in
+  let third = through_disk second in
+  let got_third = run third (List.nth segments 2) in
+  Alcotest.(check (list string)) "responses identical across both hops" expected
+    [ got_first; got_second; got_third ];
+  Alcotest.(check string) "identical finalize" expected_final
+    (responses_to_string (Engine.finalize third));
+  let want = Engine.assignment reference and got = Engine.assignment third in
+  Alcotest.(check (array int)) "identical targets" want.Assignment.target_of_zone
+    got.Assignment.target_of_zone;
+  Alcotest.(check (array int)) "identical contacts" want.Assignment.contact_of_client
+    got.Assignment.contact_of_client;
+  Alcotest.(check string) "identical fingerprint" (Engine.fingerprint reference)
+    (Engine.fingerprint third)
+
 (* ------------------------------------------------------------------ *)
 (* load generator                                                      *)
 
@@ -454,6 +516,7 @@ let tests =
         case "crash evacuates, recover readmits" test_crash_then_recover;
         case "checkpoint resume is bitwise-identical (3 seeds)" test_resume_identity_seeds;
         case "service snapshot round-trips" test_service_snapshot_round_trip;
+        case "chained resume through disk" test_chained_resume_through_disk;
         case "loadgen is deterministic" test_loadgen_deterministic;
         case "loadgen emits a well-formed stream" test_loadgen_stream_is_valid;
         case "loadgen validates its config" test_loadgen_validate;

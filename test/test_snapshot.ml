@@ -407,7 +407,9 @@ let test_spec_resume_aggregated () =
     (Trace.points exact.Dve_sim.trace = Trace.points reference.Dve_sim.trace)
 
 (* Every earlier payload layout is refused, not misread: v4 predates
-   the aggregated solver's [buckets], v5 the simulator's state record. *)
+   the aggregated solver's [buckets], v5 the simulator's state record,
+   v6 the plain-data event queue, the carried histograms and the
+   engine's state record. *)
 let test_old_version_refused () =
   with_temp_file @@ fun path ->
   let _, checkpoints = run_with_checkpoints sim_config 1 in
@@ -426,7 +428,7 @@ let test_old_version_refused () =
           Alcotest.(check int) "expects the current version" Envelope.format_version expected
       | Ok _ -> Alcotest.failf "read a version-%d snapshot at the current payload type" old
       | Error e -> Alcotest.failf "unexpected error: %s" (Envelope.describe e))
-    [ 4; 5 ]
+    [ 4; 5; 6 ]
 
 (* A resumed run that checkpoints again, resumed once more from its own
    checkpoint, still ends exactly as the uninterrupted run: capsim
@@ -476,6 +478,47 @@ let test_chained_resume () =
   check_chained_resume sim_config 3;
   check_chained_resume chaos_config 4
 
+(* Telemetry is part of the checkpoint: a resumed run that starts from
+   zeroed instruments ends with the uninterrupted run's histograms, not
+   just its counters. Histogram counts are compared everywhere; the
+   simulated-time histograms are compared bucket for bucket (the
+   wall-clock ones only agree in count). *)
+let test_resume_keeps_histograms () =
+  let module Metrics = Cap_obs.Metrics in
+  let histograms () =
+    List.filter_map
+      (fun (s : Metrics.sample) ->
+        match s.data with
+        | Metrics.Histogram_sample h ->
+            let simulated = String.starts_with ~prefix:"faults_" s.name in
+            Some (s.name, s.labels, h.count, if simulated then h.counts else [||])
+        | Metrics.Counter_sample _ | Metrics.Gauge_sample _ -> None)
+      (Metrics.collect ())
+  in
+  let seed = 4 in
+  Cap_obs.Control.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Cap_obs.Control.disable ();
+      Metrics.reset ())
+    (fun () ->
+      Metrics.reset ();
+      ignore (Dve_sim.run (Rng.create ~seed) chaos_config ~world:(make_world seed) ~algorithm);
+      let reference = histograms () in
+      Metrics.reset ();
+      let _, checkpoints = run_with_checkpoints chaos_config seed in
+      (* past the crash, the degradation and the recovery *)
+      let ck = List.find (fun ck -> Dve_sim.checkpoint_time ck > 150.) checkpoints in
+      Metrics.reset ();
+      ignore (Dve_sim.resume chaos_config ~world:(make_world seed) ~algorithm ck);
+      let recovered =
+        List.exists (fun (name, _, count, _) -> name = "faults_recovery_seconds" && count > 0)
+          reference
+      in
+      Alcotest.(check bool) "the run closes a recovery episode" true recovered;
+      Alcotest.(check bool) "histograms equal the uninterrupted run's" true
+        (histograms () = reference))
+
 let tests =
   [
     ( "snapshot/envelope",
@@ -504,5 +547,6 @@ let tests =
         case "spec config: chaos with faults" test_spec_resume_chaos;
         case "spec config: aggregated sim" test_spec_resume_aggregated;
         case "chained resume: sim and chaos" test_chained_resume;
+        case "resume keeps histograms" test_resume_keeps_histograms;
       ] );
   ]
