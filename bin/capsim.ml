@@ -1024,32 +1024,21 @@ let resume_cmd =
     let* ({ Sim_run.spec; _ } as snapshot) =
       Result.map_error (capsim_error Envelope.describe) (Sim_run.load ~path)
     in
-    let* scenario =
-      Result.map_error
-        (capsim_error (fun i -> "snapshot scenario: " ^ Validate.describe i))
-        (Validate.scenario_notation spec.Sim_run.scenario)
-    in
     let* algorithm =
       Result.map_error (capsim_error (( ^ ) "snapshot ")) (Sim_run.solver spec)
     in
-    (* replay the original setup order exactly: create the seeded RNG,
-       generate the world, then let Sim_run.config draw what the
-       original setup drew — the simulation RNG itself is restored
-       from the checkpoint *)
-    let rng = Rng.create ~seed:spec.Sim_run.seed in
-    let world = World.generate rng scenario in
-    let fingerprint = Sim_run.fingerprint world in
-    if fingerprint <> spec.Sim_run.world_fingerprint then
-      Error
-        (Printf.sprintf
-           "capsim: snapshot world mismatch: regenerated fingerprint %s but the \
-            snapshot recorded %s (produced by a different capsim build?)"
-           fingerprint spec.Sim_run.world_fingerprint)
-    else
-      (* keep checkpointing to the same file unless told otherwise *)
-      let ck = { ck with ck_path = Some (Option.value ck.ck_path ~default:path) } in
-      try run_spec ~resume:snapshot ~ck ~trace_csv ~algorithm spec rng world
-      with Invalid_argument m -> Error ("capsim: " ^ m)
+    (* replay the original setup order exactly: the seeded RNG generates
+       the world, then Sim_run.config draws what the original setup
+       drew — the simulation RNG itself is restored from the checkpoint *)
+    let* rng, world =
+      Result.map_error (capsim_error (( ^ ) "snapshot "))
+        (Sim_run.check_world ~scenario:spec.Sim_run.scenario ~seed:spec.Sim_run.seed
+           ~fingerprint:spec.Sim_run.world_fingerprint)
+    in
+    (* keep checkpointing to the same file unless told otherwise *)
+    let ck = { ck with ck_path = Some (Option.value ck.ck_path ~default:path) } in
+    try run_spec ~resume:snapshot ~ck ~trace_csv ~algorithm spec rng world
+    with Invalid_argument m -> Error ("capsim: " ^ m)
   in
   let term =
     Term.(const run $ obs_term $ path_arg $ checkpoint_term $ trace_csv_arg)
@@ -1435,9 +1424,10 @@ let serve_main p =
         let v = Cap_obs.Metrics.Histogram.quantile latency pct in
         if Float.is_finite v then Printf.sprintf "%.0f" (v *. 1e6) else "-"
       in
+      (* cumulative events, but the rate of this process's own *)
       let rate =
         if stats.Daemon.wall_s > 0. then
-          float_of_int stats.Daemon.events /. stats.Daemon.wall_s
+          float_of_int stats.Daemon.run_events /. stats.Daemon.wall_s
         else 0.
       in
       let shed_rate =
@@ -2412,7 +2402,10 @@ let validate_cmd =
     Arg.(value & opt (some string) None & info [ "trace-csv" ] ~docv:"FILE" ~doc)
   in
   let snapshot_arg =
-    let doc = "Also validate this snapshot file (envelope, checksum and payload)." in
+    let doc =
+      "Also validate this snapshot file (envelope, checksum, payload, and the world \
+       its scenario and seed regenerate)."
+    in
     Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"FILE" ~doc)
   in
   let wal_arg =
@@ -2426,26 +2419,51 @@ let validate_cmd =
   let run obs config seed trace_csv snapshot wal =
     with_obs obs @@ fun () ->
     let problem = ref false in
-    (match Validate.scenario_notation config with
-    | Error issue ->
-        problem := true;
-        Printf.eprintf "scenario %s: %s\n" config (Validate.describe issue)
-    | Ok scenario -> (
-        Printf.printf "scenario %s: ok\n" (Scenario.notation scenario);
-        let rng = Rng.create ~seed in
-        let world = World.generate rng scenario in
-        match Validate.world world with
-        | [] ->
-            Printf.printf
-              "world (seed %d): ok — %d servers, %d zones, %d clients, fingerprint %s\n"
-              seed (World.server_count world) (World.zone_count world)
-              (Array.length world.World.client_nodes)
-              (Sim_run.fingerprint world)
-        | issues ->
+    (* the -c world, when asked for or when no file is *)
+    let config =
+      match config with
+      | None when trace_csv = None && snapshot = None && wal = None ->
+          Some default_config
+      | config -> config
+    in
+    Option.iter
+      (fun config ->
+        match Validate.scenario_notation config with
+        | Error issue ->
             problem := true;
-            List.iter
-              (fun i -> Printf.eprintf "world (seed %d): %s\n" seed (Validate.describe i))
-              issues));
+            Printf.eprintf "scenario %s: %s\n" config (Validate.describe issue)
+        | Ok scenario -> (
+            Printf.printf "scenario %s: ok\n" (Scenario.notation scenario);
+            let rng = Rng.create ~seed in
+            let world = World.generate rng scenario in
+            match Validate.world world with
+            | [] ->
+                Printf.printf
+                  "world (seed %d): ok — %d servers, %d zones, %d clients, \
+                   fingerprint %s\n"
+                  seed (World.server_count world) (World.zone_count world)
+                  (Array.length world.World.client_nodes)
+                  (Sim_run.fingerprint world)
+            | issues ->
+                problem := true;
+                List.iter
+                  (fun i ->
+                    Printf.eprintf "world (seed %d): %s\n" seed (Validate.describe i))
+                  issues))
+      config;
+    (* a snapshot's world is regenerated from its own recipe, as resume
+       does, and must match the fingerprint it recorded *)
+    let snapshot_ok file ~describe ~scenario ~seed ~fingerprint =
+      match Sim_run.check_world ~scenario ~seed ~fingerprint with
+      | Ok _ ->
+          Printf.printf
+            "snapshot %s: ok — %s\nsnapshot %s: world %s (seed %d): fingerprint %s \
+             matches\n"
+            file describe file scenario seed fingerprint
+      | Error reason ->
+          problem := true;
+          Printf.eprintf "snapshot %s: %s\n" file reason
+    in
     (match trace_csv with
     | None -> ()
     | Some file -> (
@@ -2466,12 +2484,18 @@ let validate_cmd =
     | Some file -> (
         match Sim_run.load ~path:file with
         | Ok snap ->
-            Printf.printf "snapshot %s: ok — %s\n" file (Sim_run.describe snap)
+            let spec = snap.Sim_run.spec in
+            snapshot_ok file ~describe:(Sim_run.describe snap)
+              ~scenario:spec.Sim_run.scenario ~seed:spec.Sim_run.seed
+              ~fingerprint:spec.Sim_run.world_fingerprint
         | Error (Envelope.Wrong_kind _) -> (
             (* not a sim/chaos snapshot; try the service-daemon kind *)
             match Service_run.load ~path:file with
             | Ok snap ->
-                Printf.printf "snapshot %s: ok — %s\n" file (Service_run.describe snap)
+                let spec = snap.Service_run.spec in
+                snapshot_ok file ~describe:(Service_run.describe snap)
+                  ~scenario:spec.Service_run.scenario ~seed:spec.Service_run.seed
+                  ~fingerprint:spec.Service_run.world_fingerprint
             | Error e ->
                 problem := true;
                 Printf.eprintf "snapshot %s: %s\n" file (Envelope.describe e))
@@ -2513,7 +2537,7 @@ let validate_cmd =
   let term =
     Term.(
       const run $ obs_term
-      $ Arg.(value & opt string default_config & config_info)
+      $ Arg.(value & opt (some string) None & config_info)
       $ seed_arg $ trace_csv_arg $ snapshot_arg
       $ wal_arg)
   in
@@ -2521,9 +2545,11 @@ let validate_cmd =
     (Cmd.info "validate" ~exits
        ~doc:
          "Validate inputs without running anything: scenario notation and the world it \
-          generates, and optionally a trace CSV and a snapshot file. Exits 0 when \
-          everything is well-formed, 2 otherwise, with one structured diagnostic line \
-          per problem.")
+          generates (the $(b,-c) world, checked when $(b,-c) is given or no file is), \
+          and optionally a trace CSV, a snapshot file (whose world is regenerated \
+          from its own scenario and seed and must match its recorded fingerprint) and \
+          a WAL. Exits 0 when everything is well-formed, 2 otherwise, with one \
+          structured diagnostic line per problem.")
     term
 
 let () =

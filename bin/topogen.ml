@@ -1,5 +1,5 @@
 (* topogen — generate a topology and print its structural statistics:
-   node/edge counts, degree distribution, delay quantiles, diameter.
+   node/edge counts, degree distribution, delay quantiles, RTT max.
    Useful for validating the synthetic topologies against the paper's
    description (500 nodes, 20 ASes, Internet-like degrees).
 

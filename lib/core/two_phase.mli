@@ -16,7 +16,6 @@ type t = {
 }
 
 val ranz_virc : t
-val ranz_grec : t
 val grez_virc : t
 val grez_grec : t
 

@@ -2,12 +2,9 @@
     metrics, mirroring the paper's methodology of averaging 50
     simulation runs per data point. *)
 
-val paper_runs : int
-(** 50 — the paper's replication count. *)
-
 val default_runs : unit -> int
 (** [CAP_RUNS] from the environment if set and positive, otherwise
-    {!paper_runs}. Benchmarks use this to trade precision for time. *)
+    the paper's 50. Benchmarks use this to trade precision for time. *)
 
 val replicate :
   ?jobs:int -> runs:int -> seed:int -> (Cap_util.Rng.t -> 'a) -> 'a list

@@ -6,13 +6,6 @@
 val fig4_csv : Fig4.t -> string
 (** Columns: delay, then one CDF column per algorithm. *)
 
-val fig5_csv : Fig5.t -> string * string
-(** pQoS CSV and utilization CSV; columns: delta, then one column per
-    algorithm. *)
-
-val fig6_csv : Fig6.t -> string * string
-(** Same, over distribution types. *)
-
 val gnuplot_script :
   csv:string -> title:string -> xlabel:string -> ylabel:string -> columns:string list -> string
 (** A standalone gnuplot script plotting every named column of a CSV

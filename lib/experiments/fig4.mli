@@ -9,9 +9,6 @@ type t = {
 
 val run : ?runs:int -> ?seed:int -> unit -> t
 
-val paper : (string * (float * float) list) list
-(** Points read off the paper's figure, per algorithm. *)
-
 val to_table : t -> Cap_util.Table.t
 
 val crossing_delay : t -> string -> float -> float option

@@ -10,16 +10,11 @@ type t = {
 
 val run : ?runs:int -> ?seed:int -> unit -> t
 
-val paper_pqos : (string * (float * float) list) list
-(** Points read off Fig. 5(a): algorithm -> (delta, pQoS). *)
-
-val paper_utilization : (string * (float * float) list) list
-(** Points read off Fig. 5(b). *)
-
 val to_tables : t -> Cap_util.Table.t * Cap_util.Table.t
 (** pQoS table and utilization table. *)
 
 val slope : t -> string -> float
 (** pQoS gain of an algorithm from the smallest to the largest delta —
     the paper's headline here is that GreZ-* rise sharply with
-    correlation while RanZ-* stay flat. *)
+    correlation while RanZ-* stay flat. Exposed for tests, which check
+    that shape. *)

@@ -20,7 +20,4 @@ val distribution_of_type :
 
 val run : ?runs:int -> ?seed:int -> unit -> t
 
-val paper_pqos : (string * (int * float) list) list
-val paper_utilization : (string * (int * float) list) list
-
 val to_tables : t -> Cap_util.Table.t * Cap_util.Table.t

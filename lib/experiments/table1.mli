@@ -34,9 +34,5 @@ val run :
     [with_optimal] true (small configurations only),
     [optimal_time_limit] 5 wall-clock seconds per phase per run. *)
 
-val paper : (string * (string * cell) list * cell option) list
-(** The numbers printed in the paper, for side-by-side comparison:
-    (configuration, per-algorithm cells, lp_solve cell). *)
-
 val to_table : t -> Cap_util.Table.t
 (** Rendered with the paper's value next to each measured one. *)

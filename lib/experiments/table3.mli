@@ -24,7 +24,4 @@ type t = row list
 val run :
   ?runs:int -> ?seed:int -> ?spec:Cap_model.Churn.spec -> ?max_zone_moves:int -> unit -> t
 
-val paper : (string * float * float * float) list
-(** (algorithm, before, after, executed) as published. *)
-
 val to_table : t -> Cap_util.Table.t

@@ -13,6 +13,4 @@ type t = (float * (string * cell) list) list
 
 val run : ?runs:int -> ?seed:int -> ?factors:float list -> unit -> t
 
-val paper : (float * (string * cell) list) list
-
 val to_table : t -> Cap_util.Table.t

@@ -15,11 +15,6 @@ type timed = {
 
 type schedule = timed list
 
-let server_of = function
-  | Crash s | Recover s | Degrade { server = s; _ } -> s
-  | Link_cut _ | Link_restore _ | Link_degrade _ ->
-      invalid_arg "Fault.server_of: link event has two endpoints"
-
 let servers_of = function
   | Crash s | Recover s | Degrade { server = s; _ } -> [ s ]
   | Link_cut { s1; s2 } | Link_restore { s1; s2 } | Link_degrade { s1; s2; _ }
@@ -105,29 +100,6 @@ let poisson rng ~servers ~mtbf ~mttr ~duration =
       else continue := false
     done
   done;
-  validate ~servers (List.rev !events)
-
-(* A correlated regional outage: every server of the region goes down
-   at [at] and comes back [downtime] later, each with a small jitter so
-   the failure looks like a cascading rack/AZ loss rather than one
-   atomic instant. *)
-let regional_outage rng ~region_of_server ~region ~at ~downtime ?(jitter = 0.) () =
-  if at < 0. then invalid_arg "Fault.regional_outage: negative start time";
-  if downtime <= 0. then invalid_arg "Fault.regional_outage: downtime must be positive";
-  if jitter < 0. then invalid_arg "Fault.regional_outage: negative jitter";
-  let servers = Array.length region_of_server in
-  let events = ref [] in
-  Array.iteri
-    (fun s r ->
-      if r = region then begin
-        let delta () = if jitter = 0. then 0. else Rng.float rng jitter in
-        let down_at = at +. delta () in
-        events :=
-          { at = down_at +. downtime; event = Recover s }
-          :: { at = down_at; event = Crash s }
-          :: !events
-      end)
-    region_of_server;
   validate ~servers (List.rev !events)
 
 (* Gilbert-Elliott-style per-link flapping: each undirected link is an

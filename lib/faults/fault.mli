@@ -33,15 +33,10 @@ type timed = {
 
 type schedule = timed list
 
-val server_of : event -> int
-(** The server of a single-server event. Raises [Invalid_argument] on
-    a link event — use {!servers_of}. *)
-
 val servers_of : event -> int list
 (** Every server the event touches: one for server events, the two
     endpoints for link events. *)
 
-val describe_event : event -> string
 val describe : schedule -> string
 
 val validate : servers:int -> schedule -> schedule
@@ -64,21 +59,6 @@ val poisson :
     is up for an exponential time with mean [mtbf], down for an
     exponential time with mean [mttr], repeating over [0, duration).
     Raises [Invalid_argument] on non-positive parameters. *)
-
-val regional_outage :
-  Cap_util.Rng.t ->
-  region_of_server:int array ->
-  region:int ->
-  at:float ->
-  downtime:float ->
-  ?jitter:float ->
-  unit ->
-  schedule
-(** Correlated outage: every server whose region matches goes down at
-    [at] (plus an optional uniform jitter in [0, jitter)) and recovers
-    [downtime] later — the "an availability zone fell over" scenario.
-    [region_of_server] maps server ids to regions (for a generated
-    world, [world.region_of_node.(world.server_nodes.(s))]). *)
 
 val link_flapping :
   Cap_util.Rng.t ->

@@ -62,27 +62,3 @@ let lp_relaxation t =
     List.init items convexity @ List.init servers capacity
   in
   Lp.make ~objective ~constraints
-
-let brute_force t =
-  let items = item_count t and servers = server_count t in
-  let space = float_of_int servers ** float_of_int items in
-  if space > 1e7 then invalid_arg "Gap.brute_force: search space too large";
-  let assignment = Array.make items 0 in
-  let best = ref None in
-  let rec explore j =
-    if j = items then begin
-      if is_feasible t assignment then begin
-        let cost = objective t assignment in
-        match !best with
-        | Some (_, best_cost) when best_cost <= cost -> ()
-        | _ -> best := Some (Array.copy assignment, cost)
-      end
-    end
-    else
-      for i = 0 to servers - 1 do
-        assignment.(j) <- i;
-        explore (j + 1)
-      done
-  in
-  explore 0;
-  !best

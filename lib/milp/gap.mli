@@ -31,8 +31,3 @@ val lp_relaxation : t -> Lp.t
 (** The continuous relaxation: fractional [x_ij >= 0] with per-item
     convexity equalities and per-server capacity inequalities.
     Variable [x_ij] is at index [j * servers + i]. *)
-
-val brute_force : t -> (int array * float) option
-(** Exhaustive search over all [servers^items] assignments; [None] if
-    no feasible assignment exists. Only for tiny instances (tests).
-    Raises [Invalid_argument] when the search space exceeds ~10^7. *)

@@ -24,7 +24,9 @@ val make : target_of_zone:int array -> contact_of_client:int array -> t
 (** Copies its arguments. *)
 
 val with_virc_contacts : World.t -> target_of_zone:int array -> t
-(** Contacts equal to each client's target (the VirC rule). *)
+(** Contacts equal to each client's target (the VirC rule). Exposed
+    for tests, which use it to turn any zone placement into an
+    assignment. *)
 
 val target_of_client : t -> World.t -> int -> int
 

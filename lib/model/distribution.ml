@@ -8,8 +8,6 @@ type virtual_world =
   | Uniform_virtual
   | Clustered_virtual of { hot_zones : int; weight : float }
 
-let paper_cluster_weight = 10.
-
 type t = {
   node_weights : float array;
   zone_weights : float array;

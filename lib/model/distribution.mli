@@ -20,9 +20,6 @@ type virtual_world =
       (** [hot_zones] randomly chosen zones are [weight] times more
           likely than the others *)
 
-val paper_cluster_weight : float
-(** The 10x population factor used in the paper's clustered setups. *)
-
 type t
 (** A sampler for client placements, built once per generated world so
     hot nodes/zones and the region->zone preference map stay fixed

@@ -16,14 +16,6 @@ let create ~servers =
     link_penalty = Array.make_matrix servers servers 0.;
   }
 
-let copy t =
-  {
-    alive = Array.copy t.alive;
-    delay_penalty = Array.copy t.delay_penalty;
-    link_cut = Array.map Array.copy t.link_cut;
-    link_penalty = Array.map Array.copy t.link_penalty;
-  }
-
 let server_count t = Array.length t.alive
 
 let check t s =
@@ -170,22 +162,3 @@ let apply t world =
     (* capacities/penalties/mesh all feed the cached RTT matrices *)
     cache = World.fresh_cache ();
   }
-
-let describe t =
-  let parts = ref [] in
-  for s1 = server_count t - 1 downto 0 do
-    for s2 = server_count t - 1 downto s1 + 1 do
-      if t.link_cut.(s1).(s2) then
-        parts := Printf.sprintf "link %d-%d cut" s1 s2 :: !parts
-      else if t.link_penalty.(s1).(s2) > 0. then
-        parts :=
-          Printf.sprintf "link %d-%d +%gms" s1 s2 t.link_penalty.(s1).(s2)
-          :: !parts
-    done
-  done;
-  for s = server_count t - 1 downto 0 do
-    if not t.alive.(s) then parts := Printf.sprintf "s%d down" s :: !parts
-    else if t.delay_penalty.(s) > 0. then
-      parts := Printf.sprintf "s%d +%gms" s t.delay_penalty.(s) :: !parts
-  done;
-  match !parts with [] -> "all up" | parts -> String.concat ", " parts

@@ -32,8 +32,6 @@ val create : servers:int -> t
 (** All servers up, all links healthy. Raises [Invalid_argument] if
     [servers <= 0]. *)
 
-val copy : t -> t
-
 val server_count : t -> int
 val is_alive : t -> int -> bool
 val alive_count : t -> int
@@ -75,16 +73,11 @@ val degrade_link : t -> int -> int -> delay_penalty:float -> unit
 
 val link_is_cut : t -> int -> int -> bool
 val link_delay_penalty : t -> int -> int -> float
+(** One link's state; exposed for tests, which check the mask a fault
+    schedule leaves. *)
 
 val cut_link_count : t -> int
 (** Number of currently severed undirected links. *)
-
-val link_state : t -> int -> int -> Cap_topology.Overlay.link_state
-(** The link's state in {!Cap_topology.Overlay} terms. *)
-
-val overlay : t -> base_rtt:(int -> int -> float) -> Cap_topology.Overlay.t
-(** The routing overlay induced by the current mask over the given
-    pristine inter-server RTT. *)
 
 val partition_count : t -> int
 (** Number of connected components among live servers under the
@@ -95,7 +88,3 @@ val apply : t -> World.t -> World.t
 (** A world whose capacities, per-server delay penalties and (under
     link damage) effective inter-server RTT mesh reflect the mask.
     Raises [Invalid_argument] on a server-count mismatch. *)
-
-val describe : t -> string
-(** e.g. ["all up"], ["s2 down, s4 +80ms"] or
-    ["s1 down, link 0-2 cut, link 1-3 +40ms"]. *)

@@ -1,5 +1,4 @@
 module Stats = Cap_util.Stats
-module Table = Cap_util.Table
 
 type summary = {
   pqos : float;
@@ -11,11 +10,6 @@ type summary = {
   jain_fairness : float;
   overloaded_servers : int;
 }
-
-let delay_percentile assignment world ~q =
-  if q < 0. || q > 1. then invalid_arg "Metrics.delay_percentile: q outside [0, 1]";
-  let delays = Assignment.delay_samples assignment world in
-  if Array.length delays = 0 then 0. else Stats.quantile delays q
 
 let jain_fairness assignment world =
   let loads = Assignment.server_loads assignment world in
@@ -38,16 +32,3 @@ let summary assignment world =
     jain_fairness = jain_fairness assignment world;
     overloaded_servers = List.length (Assignment.overloaded_servers assignment world);
   }
-
-let summary_table s =
-  let table = Table.create ~headers:[ "metric"; "value" ] () in
-  let add k v = Table.add_row table [ k; v ] in
-  add "pQoS" (Printf.sprintf "%.4f" s.pqos);
-  add "resource utilization (R)" (Printf.sprintf "%.4f" s.utilization);
-  add "mean delay (ms)" (Printf.sprintf "%.1f" s.mean_delay);
-  add "median delay (ms)" (Printf.sprintf "%.1f" s.median_delay);
-  add "p95 delay (ms)" (Printf.sprintf "%.1f" s.p95_delay);
-  add "worst delay (ms)" (Printf.sprintf "%.1f" s.worst_delay);
-  add "Jain load fairness" (Printf.sprintf "%.4f" s.jain_fairness);
-  add "overloaded servers" (string_of_int s.overloaded_servers);
-  table

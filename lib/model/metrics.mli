@@ -1,4 +1,4 @@
-(** Metrics beyond the paper's pQoS and R: delay percentiles and
+(** Metrics beyond the paper's pQoS and R: delay quantiles and
     load-fairness, useful when comparing delay-aware assignment against
     pure load balancing. *)
 
@@ -13,10 +13,6 @@ type summary = {
   overloaded_servers : int;
 }
 
-val delay_percentile : Assignment.t -> World.t -> q:float -> float
-(** [q]-quantile of per-client delays; 0 for a world with no clients.
-    Raises [Invalid_argument] if [q] is outside [0, 1]. *)
-
 val jain_fairness : Assignment.t -> World.t -> float
 (** Jain's fairness index [(sum x)^2 / (n * sum x^2)] over per-server
     load/capacity ratios: 1 when all servers are equally filled, 1/n
@@ -24,5 +20,3 @@ val jain_fairness : Assignment.t -> World.t -> float
     idle. *)
 
 val summary : Assignment.t -> World.t -> summary
-
-val summary_table : summary -> Cap_util.Table.t

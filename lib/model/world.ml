@@ -173,7 +173,6 @@ let servers_reachable t s1 s2 = s1 = s2 || server_rtt_in t.delay t s1 s2 < infin
 let node_server_rtt t ~node ~server =
   Delay.rtt t.observed node t.server_nodes.(server) +. t.server_delay_penalty.(server)
 
-let client_server_rtt t ~client ~server = rtt_in t.observed t ~client ~server
 let server_server_rtt t s1 s2 = server_rtt_in t.observed t s1 s2
 let true_client_server_rtt t ~client ~server = rtt_in t.delay t ~client ~server
 let true_server_server_rtt t s1 s2 = server_rtt_in t.delay t s1 s2
@@ -311,15 +310,6 @@ let invalidate t = Atomic.set t.cache None
 (* Populations and rates (O(1) via the cache)                          *)
 
 let zone_population t = Array.copy (cached t).zone_pop
-
-let clients_of_zone t =
-  let { zone_off; zone_clients; _ } = cached t in
-  Array.init (zone_count t) (fun z ->
-      Array.sub zone_clients zone_off.(z) (zone_off.(z + 1) - zone_off.(z)))
-
-let population_of_zone t z =
-  let pop = (cached t).zone_pop in
-  if z < 0 || z >= Array.length pop then 0 else pop.(z)
 
 let client_rate t c = (cached t).zone_client_rate.(t.client_zones.(c))
 

@@ -36,13 +36,13 @@ type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type dense = private {
   cs_rtt : f32;
       (** observed client-server RTT, [client * c_servers + server];
-          server delay penalties baked in (= {!client_server_rtt}
-          f32-rounded) *)
+          server delay penalties baked in (= {!node_server_rtt} of
+          the client's node, f32-rounded) *)
   cs_rtt_true : f32;  (** same, true delay model *)
 }
 
 (** Lazily-built derived data, read by every solver hot path. All
-    lookups that used to scan the [k] clients ([population_of_zone],
+    lookups that used to scan the [k] clients ([zone_population],
     [client_rate], [zone_rate]) become O(1) array reads, and the delay
     model is densified into flat row-major float32 matrices so matrix
     fills walk contiguous memory. The cache is a pure function of the
@@ -157,13 +157,6 @@ val node_count : t -> int
 val zone_population : t -> int array
 (** zone id -> number of clients currently in the zone. *)
 
-val population_of_zone : t -> int -> int
-(** Number of clients in one zone — an O(1) cached lookup (0 for an
-    out-of-range zone id). *)
-
-val clients_of_zone : t -> int array array
-(** zone id -> client ids, ascending. *)
-
 val client_rate : t -> int -> float
 (** [R^T_c] for a client, bits/s, under the current populations. *)
 
@@ -188,7 +181,6 @@ val node_server_rtt : t -> node:int -> server:int -> float
     the online service to price a joining client before it is
     materialised. *)
 
-val client_server_rtt : t -> client:int -> server:int -> float
 val server_server_rtt : t -> int -> int -> float
 (** Inter-server RTT with the well-provisioned discount applied; 0 for
     a server and itself. Reads [server_mesh] when present, so under

@@ -9,10 +9,9 @@ val escape_string : string -> string
 val render : unit -> string
 val write : string -> unit
 
-val render_metrics : unit -> string
-(** One JSON object per registered instrument: counters and gauges
-    carry [value]; histograms carry [count, sum, min, max], estimated
-    [p50/p90/p99/p999] quantiles and the raw bucket [bounds]/[counts]
-    (non-finite numbers render as [null]). *)
-
 val write_metrics : string -> unit
+(** [write_metrics file] writes one JSON object per registered
+    instrument: counters and gauges carry [value]; histograms carry
+    [count, sum, min, max], estimated [p50/p90/p99/p999] quantiles and
+    the raw bucket [bounds]/[counts] (non-finite numbers render as
+    [null]). *)

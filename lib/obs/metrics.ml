@@ -21,10 +21,7 @@ type entry = {
   instrument : instrument;
 }
 
-(* Registration order matters for readable exports, so keep both a
-   lookup table and an ordered list. *)
 let table : (string * label list, entry) Hashtbl.t = Hashtbl.create 64
-let order : entry list ref = ref []
 
 let register ~name ~labels ~help ~make ~same =
   match Hashtbl.find_opt table (name, labels) with
@@ -38,7 +35,6 @@ let register ~name ~labels ~help ~make ~same =
       let handle, instrument = make () in
       let entry = { name; help; labels; instrument } in
       Hashtbl.replace table (name, labels) entry;
-      order := entry :: !order;
       handle
 
 module Counter = struct
@@ -198,14 +194,20 @@ let data_of = function
           max = h.h_max;
         }
 
+(* Every instrument in (name, labels) order: exports do not depend on
+   which module happened to register first. *)
+let sorted_entries () =
+  Hashtbl.fold (fun key e acc -> (key, e) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 let collect () =
-  List.rev_map
-    (fun (e : entry) ->
+  List.map
+    (fun (_, (e : entry)) ->
       { name = e.name; help = e.help; labels = e.labels; data = data_of e.instrument })
-    !order
+    (sorted_entries ())
 
 let export_values () =
-  List.rev_map (fun (e : entry) -> ((e.name, e.labels), data_of e.instrument)) !order
+  List.map (fun (key, e) -> (key, data_of e.instrument)) (sorted_entries ())
 
 (* Restore is a state operation, not a recording: it applies even while
    Control is off, and silently skips instruments that are not (yet)
@@ -231,8 +233,8 @@ let restore_values values =
 (* Zero values rather than dropping series: module-level instruments
    (the solvers') register once at program start and must survive. *)
 let reset () =
-  List.iter
-    (fun e ->
+  Hashtbl.iter
+    (fun _ e ->
       match e.instrument with
       | I_counter r | I_gauge r -> r := 0.
       | I_histogram h ->
@@ -241,4 +243,4 @@ let reset () =
           h.h_count <- 0;
           h.h_min <- infinity;
           h.h_max <- neg_infinity)
-    !order
+    table

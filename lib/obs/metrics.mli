@@ -93,11 +93,11 @@ and data =
     }
 
 val collect : unit -> sample list
-(** All registered instruments in registration order. *)
+(** All registered instruments, sorted by (name, labels). *)
 
 val export_values : unit -> ((string * label list) * data) list
 (** Current values of every instrument (counters, gauges and
-    histograms), in registration order. Used by snapshots to persist
+    histograms), sorted by (name, labels). Used by snapshots to persist
     telemetry across a checkpoint/resume cycle. *)
 
 val restore_values : ((string * label list) * data) list -> unit

@@ -29,63 +29,46 @@ let number v =
   else Printf.sprintf "%.12g" v
 
 let render () =
-  let samples = Metrics.collect () in
   let buf = Buffer.create 4096 in
-  let seen_header = Hashtbl.create 16 in
+  (* samples come sorted by name, so a metric's series are contiguous:
+     one header each, where the name changes *)
+  let previous = ref None in
   let header name help kind =
-    if not (Hashtbl.mem seen_header name) then begin
-      Hashtbl.replace seen_header name ();
+    if !previous <> Some name then begin
+      previous := Some name;
       if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
       Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
     end
   in
-  (* Group series of the same metric under one header, keeping first-
-     registration order for the groups themselves. *)
-  let groups = Hashtbl.create 16 in
-  let group_order = ref [] in
   List.iter
     (fun (s : Metrics.sample) ->
-      if not (Hashtbl.mem groups s.Metrics.name) then begin
-        Hashtbl.replace groups s.Metrics.name ();
-        group_order := s.Metrics.name :: !group_order
-      end)
-    samples;
-  List.iter
-    (fun group ->
-      List.iter
-        (fun (s : Metrics.sample) ->
-          if s.Metrics.name = group then begin
-            let name = s.Metrics.name and labels = s.Metrics.labels in
-            match s.Metrics.data with
-            | Metrics.Counter_sample v ->
-                header name s.Metrics.help "counter";
-                Buffer.add_string buf
-                  (Printf.sprintf "%s%s %s\n" name (label_string labels) (number v))
-            | Metrics.Gauge_sample v ->
-                header name s.Metrics.help "gauge";
-                Buffer.add_string buf
-                  (Printf.sprintf "%s%s %s\n" name (label_string labels) (number v))
-            | Metrics.Histogram_sample h ->
-                header name s.Metrics.help "histogram";
-                let cumulative = ref 0 in
-                Array.iteri
-                  (fun i c ->
-                    cumulative := !cumulative + c;
-                    let le =
-                      if i >= Array.length h.bounds then "+Inf" else number h.bounds.(i)
-                    in
-                    Buffer.add_string buf
-                      (Printf.sprintf "%s_bucket%s %d\n" name
-                         (label_string (labels @ [ ("le", le) ]))
-                         !cumulative))
-                  h.counts;
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_sum%s %s\n" name (label_string labels) (number h.sum));
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_count%s %d\n" name (label_string labels) h.count)
-          end)
-        samples)
-    (List.rev !group_order);
+      let name = s.Metrics.name and labels = s.Metrics.labels in
+      match s.Metrics.data with
+      | Metrics.Counter_sample v ->
+          header name s.Metrics.help "counter";
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s %s\n" name (label_string labels) (number v))
+      | Metrics.Gauge_sample v ->
+          header name s.Metrics.help "gauge";
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s %s\n" name (label_string labels) (number v))
+      | Metrics.Histogram_sample h ->
+          header name s.Metrics.help "histogram";
+          let cumulative = ref 0 in
+          Array.iteri
+            (fun i c ->
+              cumulative := !cumulative + c;
+              let le = if i >= Array.length h.bounds then "+Inf" else number h.bounds.(i) in
+              Buffer.add_string buf
+                (Printf.sprintf "%s_bucket%s %d\n" name
+                   (label_string (labels @ [ ("le", le) ]))
+                   !cumulative))
+            h.counts;
+          Buffer.add_string buf
+            (Printf.sprintf "%s_sum%s %s\n" name (label_string labels) (number h.sum));
+          Buffer.add_string buf
+            (Printf.sprintf "%s_count%s %d\n" name (label_string labels) h.count))
+    (Metrics.collect ());
   Buffer.contents buf
 
 let write file =

@@ -2,16 +2,9 @@
     registry: [# HELP] / [# TYPE] headers, escaped label values, and
     cumulative [_bucket]/[_sum]/[_count] series for histograms. *)
 
-val escape_label_value : string -> string
-(** Backslash, double-quote and newline escaping per the exposition
-    format spec. *)
-
-val escape_help : string -> string
-(** Backslash and newline escaping for HELP lines. *)
-
 val render : unit -> string
-(** The whole registry as exposition text, instruments grouped by
-    metric name in registration order. *)
+(** The whole registry as exposition text, sorted by metric name and
+    labels, so each metric's series sit under one header. *)
 
 val write : string -> unit
 (** [write file] renders to [file]. *)

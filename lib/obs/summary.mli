@@ -2,17 +2,10 @@
     per-span-name timing aggregates, then counters/gauges, then
     histogram quantiles, as [Cap_util.Table]s. *)
 
-val span_table : unit -> Cap_util.Table.t
-(** One row per distinct span name: count, total/mean/max wall time. *)
-
-val metrics_table : unit -> Cap_util.Table.t
-(** Counters and gauges, one row per labelled series. *)
-
-val histogram_table : unit -> Cap_util.Table.t
-(** One row per histogram series: count, mean, p50, p95, max. *)
-
 val render : unit -> string
-(** All non-empty sections, with headings. Empty string when nothing
-    was recorded. *)
+(** All non-empty sections, with headings: one row per distinct span
+    name (count, total/mean/max wall time), one per counter or gauge
+    series, one per histogram series (count, mean, p50, p95, max).
+    Empty string when nothing was recorded. *)
 
 val print : unit -> unit

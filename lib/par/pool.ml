@@ -156,15 +156,6 @@ let parallel_for t ~n body =
     | None -> ()
   end
 
-let parallel_map t f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for t ~n (fun i -> out.(i) <- Some (f arr.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
 let map_seeds t ~rng ~runs body =
   if runs < 0 then invalid_arg "Pool.map_seeds: negative runs";
   let rngs = Rng.split_n rng runs in

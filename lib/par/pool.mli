@@ -1,12 +1,12 @@
 (** Fixed-size domain pool for deterministic data parallelism.
 
-    The pool runs index-space loops ([parallel_for]) and array maps
-    ([parallel_map]) across a fixed set of worker domains plus the
-    calling domain. Scheduling is work-stealing over a shared index
-    counter, but every output slot is written by exactly one task, so
-    results never depend on the schedule: a loop body that is a pure
-    function of its index produces bitwise-identical results at any
-    pool size, including the serial size-1 pool.
+    The pool runs index-space loops ([parallel_for]) across a fixed set
+    of worker domains plus the calling domain. Scheduling is
+    work-stealing over a shared index counter, but every output slot is
+    written by exactly one task, so results never depend on the
+    schedule: a loop body that is a pure function of its index produces
+    bitwise-identical results at any pool size, including the serial
+    size-1 pool.
 
     Nested calls do not deadlock and do not oversubscribe: a
     [parallel_for] issued from inside a pool task runs inline,
@@ -19,25 +19,15 @@ type t
 (** A pool handle. The serial pool ([domains = 1]) spawns nothing and
     runs everything inline. *)
 
-val create : domains:int -> t
-(** [create ~domains] spawns [domains - 1] worker domains (the caller
-    is the remaining participant). Raises [Invalid_argument] if
-    [domains < 1]. Shut the pool down with {!shutdown} when done;
-    pools left running keep their domains blocked but idle. *)
-
 val domains : t -> int
 (** Total participants, including the calling domain; [1] for the
     serial pool. *)
 
-val shutdown : t -> unit
-(** Join all worker domains. Idempotent. Calling any run function on a
-    shut-down pool raises [Invalid_argument]. *)
-
 val inside : unit -> bool
 (** Whether the calling domain is currently executing a pool task. Any
-    [parallel_for]/[parallel_map] issued here runs inline; callers can
-    use this to skip spawning throwaway local pools that would never
-    be exercised. *)
+    [parallel_for] issued here runs inline; callers can use this to
+    skip spawning throwaway local pools that would never be
+    exercised. *)
 
 val parallel_for : t -> n:int -> (int -> unit) -> unit
 (** [parallel_for pool ~n body] runs [body i] once for every
@@ -47,12 +37,6 @@ val parallel_for : t -> n:int -> (int -> unit) -> unit
     after all grabbed tasks have completed; remaining indices are
     abandoned. Runs inline and in order when the pool is serial or the
     caller is itself a pool task. *)
-
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map pool f arr] is [Array.map f arr] with the
-    applications distributed across the pool; element order is
-    preserved. Same exception and nesting behaviour as
-    {!parallel_for}. *)
 
 val map_seeds :
   t -> rng:Cap_util.Rng.t -> runs:int -> (int -> Cap_util.Rng.t -> 'a) -> 'a array
@@ -66,10 +50,10 @@ val map_seeds :
 
 val with_local : domains:int -> (t -> 'a) -> 'a
 (** [with_local ~domains f] runs [f] with a freshly spawned pool of
-    that size and always shuts it down afterwards. When called from
-    inside a pool task the pool is created serial (size 1) — nested
-    parallel sections run inline anyway, so the worker domains would
-    only be dead weight. *)
+    that size ([domains - 1] worker domains plus the caller) and always
+    joins its domains afterwards. When called from inside a pool task
+    the pool is created serial (size 1) — nested parallel sections run
+    inline anyway, so the worker domains would only be dead weight. *)
 
 (** {1 Process-wide default pool}
 

@@ -3,6 +3,7 @@ module Clock = Cap_obs.Clock
 
 type stats = {
   events : int;
+  run_events : int;
   errors : int;
   sheds : int;
   readmits : int;
@@ -44,6 +45,9 @@ type session = {
   mutable errors : int;
   mutable resumes : int;
   mutable started : float option;  (* Clock.now at the first hello *)
+  mutable events_before : int;
+      (* Engine.events_seen when this process took the engine over:
+         a resumed snapshot's count, 0 for a fresh session *)
   mutable wal : Wal.writer option;
   mutable wal_records : int;
       (* request records applied, hello included — equals the WAL
@@ -68,6 +72,7 @@ let make_session ?wal config =
     errors = 0;
     resumes = 0;
     started = None;
+    events_before = 0;
     wal;
     wal_records = 0;
     seq = 0;
@@ -84,6 +89,7 @@ let resume_session config ~engine ~scenario ~seed ~wal_records ~response_seq =
   session.engine <- Some engine;
   session.identity <- Some (scenario, seed);
   session.started <- Some (Clock.now ());
+  session.events_before <- Engine.events_seen engine;
   session.wal_records <- wal_records;
   (* Responses up to the snapshot are not regenerated: resume replay
      can only reach back to [response_seq]. Clients are guaranteed to
@@ -455,6 +461,7 @@ let finish_send session engine ~send =
   in
   {
     events = Engine.events_seen engine;
+    run_events = Engine.events_seen engine - session.events_before;
     errors = session.errors;
     sheds = Engine.sheds_total engine;
     readmits = Engine.readmits_total engine;
@@ -467,31 +474,22 @@ let finish_send session engine ~send =
     degraded = session.degraded;
   }
 
-let finish session engine output =
-  let send line =
-    output_string output line;
-    output_char output '\n'
-  in
-  let stats = finish_send session engine ~send in
-  (try flush output with Sys_error _ -> ());
-  stats
-
 let finish_session_send session ~send =
   match session.engine with
   | None -> Error "stream ended before a hello line"
   | Some engine -> Ok (finish_send session engine ~send)
 
-let finish_session session output =
-  match session.engine with
-  | None -> Error "stream ended before a hello line"
-  | Some engine -> Ok (finish session engine output)
-
 let serve_session session ~input ~output =
   match serve_stream session input output with
   | `Fatal message -> Error message
-  | `End | `Eof -> finish_session session output
-
-let serve config ~input ~output = serve_session (make_session config) ~input ~output
+  | `End | `Eof ->
+      let send line =
+        output_string output line;
+        output_char output '\n'
+      in
+      let stats = finish_session_send session ~send in
+      (try flush output with Sys_error _ -> ());
+      stats
 
 (* ------------------------------------------------------------------ *)
 (* Unix-socket serving                                                 *)

@@ -46,7 +46,12 @@
     ride along. *)
 
 type stats = {
-  events : int;  (** client + control events applied *)
+  events : int;
+      (** client + control events applied, counting those a resumed
+          snapshot carried over *)
+  run_events : int;
+      (** the events this process applied: [events] less the resumed
+          snapshot's count (WAL replay included) *)
   errors : int;  (** malformed or inconsistent lines answered [err] *)
   sheds : int;  (** total shed responses (admission, capacity, zone-down) *)
   readmits : int;
@@ -181,13 +186,10 @@ val numbered_log : session -> string list
     response stream a torture harness compares against a reference
     run. *)
 
-val finish_session : session -> out_channel -> (stats, string) result
-(** Checkpoint, finalize, drain — what [end] triggers. *)
-
 val finish_session_send :
   session -> send:(string -> unit) -> (stats, string) result
-(** {!finish_session} over a send callback instead of a channel — the
-    reactor transport's shutdown path. *)
+(** Checkpoint, finalize, and drain the shutdown responses through
+    [send] — what [end] triggers on every transport. *)
 
 (** {1 Transports} *)
 
@@ -197,9 +199,6 @@ val serve_session :
     quiet [end]) against an existing session: finalizes the engine,
     runs the self-check, and returns the stats. [Error] means the
     stream never got going — a missing or unresolvable hello. *)
-
-val serve : config -> input:in_channel -> output:out_channel -> (stats, string) result
-(** {!serve_session} over a fresh session. *)
 
 type bind_error =
   | Address_in_use of string  (** a live daemon answered the probe *)

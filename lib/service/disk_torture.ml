@@ -64,7 +64,7 @@ let wal_path = "torture.wal"
    ({!Daemon.recover}: truncate the torn tail, replay every surviving
    record through a fresh session) and return the rebuilt numbered
    response log. Runs on a clone — recovery repairs the disk it opens
-   (tail truncation, manifest heal, or a fresh log where none
+   (tail truncation, header repair, or a fresh log where none
    survived), and the image under test must stay exactly what the
    crash left. The clone is dropped with the writer still attached:
    what recovery did to it is never looked at again. *)
@@ -293,8 +293,7 @@ let run ?(log = fun (_ : string) -> ()) ?segment_bytes ?fault_points ~resolve
       (Ok ()) points
   in
   (* A write(2) fault on the record path must have tripped degraded
-     mode at least once across the phase (individual plans may land on
-     best-effort manifest writes, which are absorbed silently). *)
+     mode at least once across the phase. *)
   let* () =
     if points = [] || !degraded_runs > 0 then Ok ()
     else Error "no fault plan tripped degraded mode — injection is not reaching the WAL"

@@ -10,7 +10,6 @@ type t = {
   path : string;
   io : Io.t;
   mutable tailer : Wal.tailer option;
-  mutable promoted : bool;
 }
 
 let create ?(io = Io.real) ?session config ~path =
@@ -19,11 +18,10 @@ let create ?(io = Io.real) ?session config ~path =
   in
   match Wal.open_tailer ~io ~from:(Daemon.wal_records session) ~path () with
   | Error e -> Error (Wal.describe_read_error e)
-  | Ok tailer -> Ok { session; path; io; tailer = Some tailer; promoted = false }
+  | Ok tailer -> Ok { session; path; io; tailer = Some tailer }
 
 let session t = t.session
 let records_applied t = Daemon.wal_records t.session
-let is_promoted t = t.promoted
 
 let poll t =
   match t.tailer with
@@ -40,15 +38,6 @@ let poll t =
               Metrics.Gauge.set (lag_gauge ()) (float_of_int n);
               Ok n))
 
-let catch_up t =
-  let rec go total =
-    match poll t with
-    | Error _ as e -> e
-    | Ok 0 -> Ok total
-    | Ok n -> go (total + n)
-  in
-  go 0
-
 let promote t ~fsync_every ?segment_bytes () =
   match t.tailer with
   | None -> Error "follower: already promoted"
@@ -57,15 +46,5 @@ let promote t ~fsync_every ?segment_bytes () =
       t.tailer <- None;
       (* The tailer can outrun durability (page-cache bytes a power cut
          lost) and GC (ground it never saw): recovery refuses both. *)
-      match
-        Daemon.recover ~io:t.io ~fsync_every ?segment_bytes t.session
-          ~path:t.path
-      with
-      | Error e -> Error (Daemon.describe_recover_error e)
-      | Ok caught_up ->
-          t.promoted <- true;
-          Ok caught_up)
-
-let close t =
-  Option.iter Wal.close_tailer t.tailer;
-  t.tailer <- None
+      Daemon.recover ~io:t.io ~fsync_every ?segment_bytes t.session ~path:t.path
+      |> Result.map_error Daemon.describe_recover_error)

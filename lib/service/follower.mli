@@ -40,9 +40,6 @@ val poll : t -> (int, string) result
     returns how many. [0] means caught up (or the next record is still
     being written). *)
 
-val catch_up : t -> (int, string) result
-(** Poll until no progress. *)
-
 val promote :
   t -> fsync_every:int -> ?segment_bytes:int -> unit -> (int, string) result
 (** Stop tailing, then {!Daemon.recover}: truncate the torn tail,
@@ -58,8 +55,7 @@ val promote :
     acknowledged records. *)
 
 val session : t -> Daemon.session
-val records_applied : t -> int
-val is_promoted : t -> bool
+(** The session the follower replays into (the primary after
+    {!promote}); exposed for tests. *)
 
-val close : t -> unit
-(** Stop tailing without promoting. *)
+val records_applied : t -> int

@@ -1,5 +1,5 @@
 (* Injectable I/O: every byte the durability stack writes (WAL
-   segments, snapshot envelopes, manifests) goes through one of these
+   segments, snapshot envelopes) goes through one of these
    records, so tests and the disk-fault torture can substitute an
    in-memory filesystem, record the write stream for every-prefix
    crash replay, or inject scheduled EIO/ENOSPC/short-write/fsync
@@ -87,7 +87,7 @@ module Mem = struct
   let create () = { files = Hashtbl.create 16; journal = [] }
 
   (* An independent copy with an empty journal — recovery probes run on
-     a clone so their own repairs (tail truncation, manifest heal)
+     a clone so their own repairs (tail truncation, header repair)
      never disturb the crashed disk image under test. *)
   let clone fs =
     let files = Hashtbl.create (max 16 (Hashtbl.length fs.files)) in
@@ -101,10 +101,6 @@ module Mem = struct
   let note fs e = fs.journal <- e :: fs.journal
 
   let contents f = Bytes.sub_string f.data 0 f.len
-
-  let dump fs =
-    Hashtbl.fold (fun path f acc -> (path, contents f) :: acc) fs.files []
-    |> List.sort compare
 
   let file fs path =
     Option.map contents (Hashtbl.find_opt fs.files path)

@@ -54,7 +54,7 @@ module Mem : sig
 
   val clone : fs -> fs
   (** Deep copy with an empty journal. Recovery mutates the disk it
-      opens (tail truncation, manifest healing) — probe a crash image
+      opens (tail truncation, header repair) — probe a crash image
       through a clone to keep the original pristine. *)
 
   val io : fs -> t
@@ -69,9 +69,6 @@ module Mem : sig
   (** [cut_write e k] is the first [k] bytes of a [Write] — the state a
       power cut mid-[write(2)] leaves. [None] if [e] is not a write or
       the cut is degenerate (0 or the whole write). *)
-
-  val dump : fs -> (string * string) list
-  (** [(path, contents)] sorted by path. *)
 
   val file : fs -> string -> string option
 end

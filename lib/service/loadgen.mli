@@ -19,9 +19,6 @@ type mix = {
 }
 (** Relative event weights; normalised internally. *)
 
-val default_mix : mix
-(** 3 : 2 : 5 — movement dominates, population drifts slowly upward. *)
-
 type config = {
   rate : float;  (** mean event rate, events/s; > 0 *)
   duration : float;  (** stream length, seconds; > 0 *)
@@ -36,7 +33,8 @@ type config = {
 }
 
 val default_config : config
-(** 10_000 events/s for 1 s, {!default_mix}, no diurnal modulation, no
+(** 10_000 events/s for 1 s, a 3 : 2 : 5 mix (movement dominates,
+    population drifts slowly upward), no diurnal modulation, no
     chaos, clock lines on. *)
 
 val validate : config -> (unit, string) result

@@ -299,8 +299,6 @@ module Reactor = struct
       stopping = false;
     }
 
-  let active t = Hashtbl.length t.conns
-
   let stats t =
     {
       accepted = t.accepted;
@@ -604,7 +602,7 @@ module Sim = struct
     mutable p_pending_connect : bool;
     mutable p_absorbing : bool;
     p_received : Buffer.t;
-    p_line_tail : Buffer.t;  (* partial response line, for [numbered] *)
+    p_line_tail : Buffer.t;  (* partial response line, for [p_numbered] *)
     mutable p_numbered : int;
     mutable p_ids : int list;  (* newest first *)
   }
@@ -641,7 +639,6 @@ module Sim = struct
   let max_wait_requested t = t.sim_max_wait
   let max_read_latency t = t.sim_max_latency
   let received p = Buffer.contents p.p_received
-  let numbered p = p.p_numbered
   let conn_ids p = List.rev p.p_ids
 
   let count_line p line =

@@ -177,7 +177,6 @@ module Reactor : sig
       silently — the peer is gone; resume replay is the recovery
       path. *)
 
-  val active : t -> int
   val stats : t -> stats
 
   val close_log : t -> (int * close_reason) list
@@ -245,10 +244,6 @@ module Sim : sig
 
   val received : peer -> string
   (** Every byte the peer has consumed off the wire, in order. *)
-
-  val numbered : peer -> int
-  (** Numbered responses among {!received} (complete lines that parse
-      as something other than [err]/[resume-ok]/[busy]). *)
 
   val conn_ids : peer -> int list
   (** Backend ids of every connection the peer made, oldest first. *)

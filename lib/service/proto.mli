@@ -76,9 +76,6 @@ type line =
   | Resume of int  (** responses already received on a prior connection *)
   | End
 
-val magic : string
-(** ["cap-stream/1"], the hello tag. *)
-
 val max_line_bytes : int
 (** 64 KiB: the longest request line the protocol admits. Anything
     longer is rejected before parsing — and readers are expected to
@@ -110,8 +107,6 @@ type shed_reason =
       (** the daemon is in degraded read-only mode: the WAL can no
           longer persist events (disk full / I/O error), so mutating
           events are refused rather than acknowledged undurably *)
-
-val shed_reason_to_string : shed_reason -> string
 
 type response =
   | Assigned of { id : int; server : int }

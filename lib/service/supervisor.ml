@@ -22,15 +22,6 @@ type config = {
   with_standby : bool;
 }
 
-let default_config =
-  {
-    backoff_base = 0.1;
-    backoff_max = 5.0;
-    crash_window = 30.0;
-    max_crashes = 5;
-    with_standby = false;
-  }
-
 type outcome =
   | Clean_exit
   | Unrecoverable of int  (** the daemon refused its configuration *)

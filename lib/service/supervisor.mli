@@ -44,9 +44,6 @@ type config = {
   with_standby : bool;
 }
 
-val default_config : config
-(** 100ms base, 5s cap, 5 crashes in 30s, no standby. *)
-
 type outcome =
   | Clean_exit
   | Unrecoverable of int

@@ -82,8 +82,6 @@ let encode payload =
 (* ---------- naming ---------- *)
 
 let seg_name base n = Printf.sprintf "%s.%06d" base n
-let manifest_path base = base ^ ".manifest"
-let manifest_magic = "capwal-manifest/1"
 
 (* Discover segment files [base.NNNNNN] next to [base]. *)
 let segments_on_disk (io : Io.t) base =
@@ -247,8 +245,7 @@ let read_segment (io : Io.t) num path =
    (each segment starts where the previous ended), and damage confined
    to the final segment. A torn header is only decipherable when the
    previous segment pins the expected base index (or it is segment 1,
-   whose base is 0). The manifest is advisory — this function never
-   reads it, so a corrupt or missing manifest cannot block recovery. *)
+   whose base is 0). *)
 let load_segmented (io : Io.t) base =
   match segments_on_disk io base with
   | [] -> Error (Io (base ^ ": no log"))
@@ -368,11 +365,6 @@ let read_log ?(io = Io.real) ~path () =
         note_torn tail;
         Ok { li_records = records; li_base = 0; li_tail = tail; li_segments = [] }
 
-let read ?io ~path () =
-  match read_log ?io ~path () with
-  | Error _ as e -> e
-  | Ok info -> Ok (info.li_records, info.li_tail)
-
 (* ---------- writer ---------- *)
 
 type writer = {
@@ -405,7 +397,6 @@ let write_exn path f b =
     Metrics.Counter.incr (write_errors_counter ());
     raise (Write_error { path; error = e })
 
-let writer_path w = w.base
 let records_written w = w.written
 let base_index w = w.base_index
 let total_bytes w = w.total_bytes
@@ -426,26 +417,6 @@ let seg_header first =
   Bytes.blit_string seg_magic 0 b 0 seg_magic_bytes;
   Bytes.set_int64_be b seg_magic_bytes (Int64.of_int first);
   b
-
-(* Best effort and advisory: readers rebuild the same information from
-   segment headers, so a lost or torn manifest is never fatal. *)
-let write_manifest w =
-  if w.seg > 0 then begin
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf manifest_magic;
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun (n, first) -> Buffer.add_string buf (Printf.sprintf "%d %d\n" n first))
-      (segments w);
-    let target = manifest_path w.base in
-    let tmp = target ^ ".tmp" in
-    try
-      let f = w.io.open_out_ ~create:true ~trunc:true tmp in
-      write_all f (Buffer.to_bytes buf);
-      f.f_close ();
-      w.io.rename tmp target
-    with Unix.Unix_error _ | Sys_error _ -> ()
-  end
 
 let check_open w what =
   (match w.poisoned with Some e -> raise e | None -> ());
@@ -480,8 +451,7 @@ let rotate w =
   w.seg_size <- seg_header_bytes;
   w.total_bytes <- w.total_bytes + seg_header_bytes;
   Metrics.Counter.incr (rotations_counter ());
-  set_gauges w;
-  write_manifest w
+  set_gauges w
 
 let append w payload =
   check_open w "append";
@@ -557,8 +527,6 @@ let create_writer ?(io = Io.real) ?(fsync_every = 32) ?segment_bytes ~path () =
       List.iter
         (fun (_, p) -> try io.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
         (segments_on_disk io path);
-      (try io.unlink (manifest_path path)
-       with Unix.Unix_error _ | Sys_error _ -> ());
       (try if io.exists path then io.unlink path
        with Unix.Unix_error _ | Sys_error _ -> ());
       let p1 = seg_name path 1 in
@@ -584,7 +552,6 @@ let create_writer ?(io = Io.real) ?(fsync_every = 32) ?segment_bytes ~path () =
         }
       in
       set_gauges w;
-      write_manifest w;
       w
 
 let open_append ?(io = Io.real) ?(fsync_every = 32) ?segment_bytes ~path () =
@@ -643,7 +610,6 @@ let open_append ?(io = Io.real) ?(fsync_every = 32) ?segment_bytes ~path () =
               }
             in
             set_gauges w;
-            write_manifest w;
             Ok (w, records)))
   else if Option.is_some segment_bytes && io.exists path then
     Error
@@ -726,8 +692,7 @@ let gc w ~covered =
       w.base_index <-
         (match remaining with (_, f, _) :: _ -> f | [] -> w.seg_first);
       Metrics.Counter.add (gc_counter ()) (float_of_int deleted);
-      set_gauges w;
-      write_manifest w
+      set_gauges w
     end;
     deleted
   end

@@ -14,10 +14,7 @@
     snapshot-anchored {!gc} deletes closed segments wholly covered by
     the latest checkpoint, bounding the on-disk footprint of a log that
     runs for days. Each segment carries the absolute index of its first
-    record, so the chain is self-describing; an advisory [PATH.manifest]
-    mirrors that information for humans and is {e never} required (or
-    even read) by recovery — a corrupt manifest cannot block it.
-    Without [?segment_bytes] the legacy single-file layout is used,
+    record, so the chain is self-describing. Without [?segment_bytes] the legacy single-file layout is used,
     bit-for-bit as before.
 
     Each payload is one raw [cap-stream/1] request line (no trailing
@@ -69,9 +66,8 @@ val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3) of a string, exposed for tests. *)
 
 val seg_name : string -> int -> string
-(** [seg_name base n] is the on-disk name of segment [n]. *)
-
-val manifest_path : string -> string
+(** [seg_name base n] is the on-disk name of segment [n]; exposed for
+    tests, which damage segments by name. *)
 
 exception Write_error of { path : string; error : Unix.error }
 (** A [write(2)] on the log failed ([ENOSPC], [EIO], …). The tail may
@@ -97,12 +93,6 @@ val describe_read_error : read_error -> string
 val log_exists : ?io:Io.t -> path:string -> unit -> bool
 (** A log (legacy file or at least one segment) exists at [path]. *)
 
-val read : ?io:Io.t -> path:string -> unit -> (string list * tail, read_error) result
-(** All valid records in order plus the tail state, across every live
-    segment. A torn tail bumps [service/wal_torn_records]. After GC the
-    head of the list is the oldest {e surviving} record — use
-    {!read_log} when the absolute base index matters. *)
-
 type log_info = {
   li_records : string list;
   li_base : int;  (** absolute index of [List.hd li_records] *)
@@ -112,6 +102,9 @@ type log_info = {
 }
 
 val read_log : ?io:Io.t -> path:string -> unit -> (log_info, read_error) result
+(** All valid records in order plus the tail state, across every live
+    segment. A torn tail bumps [service/wal_torn_records]. After GC the
+    head of the list is the oldest {e surviving} record, at [li_base]. *)
 
 (** {2 Writing} *)
 
@@ -121,7 +114,7 @@ val create_writer :
   ?io:Io.t -> ?fsync_every:int -> ?segment_bytes:int -> path:string -> unit ->
   writer
 (** Start a fresh log. Legacy layout without [segment_bytes]; with it,
-    any stale segments/manifest/legacy file at [path] are removed and
+    any stale segments or legacy file at [path] are removed and
     segment 1 is created. Raises {!Write_error} / [Unix_error] on
     unusable paths — callers own the diagnostic. *)
 
@@ -161,11 +154,8 @@ val close_writer : writer -> unit
     final fsync fails — a close that cannot make the log durable must
     not look like a clean shutdown. *)
 
-val writer_path : writer -> string
-(** The base path ([--wal] argument), regardless of layout. *)
-
 val active_path : writer -> string
-(** The file currently being appended to. *)
+(** The file currently being appended to; exposed for tests. *)
 
 val records_written : writer -> int
 (** Absolute record count: surviving + appended, GC'd ones included. *)
@@ -178,7 +168,8 @@ val total_bytes : writer -> int
 
 val segments : writer -> (int * int) list
 (** Live [(segment number, first record index)], active segment last.
-    [[]] for legacy logs. *)
+    [[]] for legacy logs. Exposed for tests, which check rotation and
+    GC against it. *)
 
 (** {2 Tailing (hot standby)} *)
 
@@ -198,6 +189,7 @@ val poll : tailer -> (string list, read_error) result
     withheld until a later poll sees the rest of its bytes. *)
 
 val tailer_records : tailer -> int
-(** Absolute index of the next record the tailer will deliver. *)
+(** Absolute index of the next record the tailer will deliver;
+    exposed for tests. *)
 
 val close_tailer : tailer -> unit

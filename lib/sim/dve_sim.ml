@@ -48,9 +48,6 @@ let default_config =
     retry_interval = 10.;
   }
 
-let roaming_config ~zones =
-  { default_config with movement = Roam (Cap_model.Zone_map.square_for ~zones) }
-
 type episode = {
   started_at : float;
   recovered_at : float option;

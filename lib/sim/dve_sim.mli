@@ -73,11 +73,6 @@ val default_config : config
     teleporting movement, no faults, 16 failover moves, 10 s retry
     backoff base. *)
 
-val roaming_config : zones:int -> config
-(** {!default_config} with [Roam] movement over the most-square grid
-    for the given zone count. Raises [Invalid_argument] if the zone
-    count is not positive. *)
-
 type episode = {
   started_at : float;          (** time of the crash that opened it *)
   recovered_at : float option; (** [None] when still open at the end of the run *)
@@ -86,11 +81,7 @@ type episode = {
 }
 (** One service-disruption episode: opens at a crash (if none is
     already open), closes when no client is shed and pQoS is back
-    within {!recovery_tolerance} of its pre-crash level. *)
-
-val recovery_tolerance : float
-(** 0.05: an episode counts as recovered when pQoS is within this
-    margin of its pre-crash value (and nobody is shed). *)
+    within 0.05 of its pre-crash level. *)
 
 type partition_episode = {
   partitioned_at : float;   (** when the live mesh split *)
@@ -120,9 +111,6 @@ type fault_report = {
       (** post-event invariant violations (first 50); must be empty on
           a healthy implementation *)
 }
-
-val no_faults : fault_report
-(** The all-zero report, for comparisons and tests. *)
 
 type outcome = {
   trace : Trace.t;

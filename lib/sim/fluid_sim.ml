@@ -2,7 +2,6 @@ module Rng = Cap_util.Rng
 module World = Cap_model.World
 module Assignment = Cap_model.Assignment
 module Scenario = Cap_model.Scenario
-module Aggregate = Cap_model.Aggregate
 
 type config = {
   duration : float;
@@ -95,59 +94,6 @@ let run rng ?(config = default_config) world assignment =
     queueing_total := !queueing_total +. queueing;
     if nominal <= bound then incr nominal_with_qos;
     if nominal +. queueing <= bound then incr effective_with_qos
-  done;
-  let fraction count = if k = 0 then 1. else float_of_int count /. float_of_int k in
-  {
-    nominal_pqos = fraction !nominal_with_qos;
-    effective_pqos = fraction !effective_with_qos;
-    mean_queueing_delay = (if k = 0 then 0. else !queueing_total /. float_of_int k);
-    per_server;
-  }
-
-(* Aggregated pQoS loop: clients of one group share a true mean RTT
-   row, and contacts inside a group are assigned in runs (the group
-   GreC splits members along its preference list in member order), so
-   one nominal-delay computation covers a whole run of clients. The
-   queue simulation itself is unchanged — server loads are exact for
-   the expanded assignment. *)
-let run_aggregated rng ?(config = default_config) (agg : Aggregate.t) assignment =
-  let world = agg.Aggregate.world in
-  validate config world assignment;
-  let rates = Assignment.server_loads assignment world in
-  let per_server = simulate_queues rng config world rates in
-  let bound = world.World.scenario.Scenario.delay_bound in
-  let servers = World.server_count world in
-  let k = World.client_count world in
-  let gs_true = agg.Aggregate.gs_rtt_true in
-  let ss_true = (World.cached world).World.ss_rtt_true in
-  let nominal_with_qos = ref 0 and effective_with_qos = ref 0 in
-  let queueing_total = ref 0. in
-  for g = 0 to agg.Aggregate.groups - 1 do
-    let target = assignment.Assignment.target_of_zone.(agg.Aggregate.group_zone.(g)) in
-    let current = ref (-2) (* forces a recompute on the first member *) in
-    let nominal = ref infinity and queueing = ref 0. in
-    for i = agg.Aggregate.group_off.(g) to agg.Aggregate.group_off.(g + 1) - 1 do
-      let contact = assignment.Assignment.contact_of_client.(agg.Aggregate.group_clients.(i)) in
-      if contact <> !current then begin
-        current := contact;
-        if contact = Assignment.unassigned || target = Assignment.unassigned then begin
-          nominal := infinity;
-          queueing := 0.
-        end
-        else begin
-          nominal :=
-            Bigarray.Array1.get gs_true ((g * servers) + contact)
-            +. Bigarray.Array1.get ss_true ((contact * servers) + target);
-          queueing :=
-            per_server.(contact).mean_queueing_delay
-            +.
-            if target = contact then 0. else per_server.(target).mean_queueing_delay
-        end
-      end;
-      queueing_total := !queueing_total +. !queueing;
-      if !nominal <= bound then incr nominal_with_qos;
-      if !nominal +. !queueing <= bound then incr effective_with_qos
-    done
   done;
   let fraction count = if k = 0 then 1. else float_of_int count /. float_of_int k in
   {

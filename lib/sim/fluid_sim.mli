@@ -42,17 +42,3 @@ val run :
   Cap_util.Rng.t -> ?config:config -> Cap_model.World.t -> Cap_model.Assignment.t -> outcome
 (** Raises [Invalid_argument] on non-positive duration/tick, negative
     burstiness, or an assignment that does not match the world. *)
-
-val run_aggregated :
-  Cap_util.Rng.t ->
-  ?config:config ->
-  Cap_model.Aggregate.t ->
-  Cap_model.Assignment.t ->
-  outcome
-(** {!run} driven by a client aggregation: the queue simulation is
-    identical (server loads are exact for the expanded assignment),
-    but the per-client pQoS loop prices each group by its weighted
-    mean true RTT row, one computation per run of same-contact
-    members. Exact when every group is one (zone, node) class; a mean
-    approximation otherwise. Same exceptions as {!run}, on the
-    aggregation's own world. *)

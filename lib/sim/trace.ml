@@ -16,8 +16,6 @@ type t = { mutable rev_points : point list }
 let create () = { rev_points = [] }
 let record t p = t.rev_points <- p :: t.rev_points
 let points t = List.rev t.rev_points
-let of_points ps = { rev_points = List.rev ps }
-let length t = List.length t.rev_points
 
 let mean_pqos t =
   match t.rev_points with
@@ -25,8 +23,6 @@ let mean_pqos t =
   | ps -> List.fold_left (fun acc p -> acc +. p.pqos) 0. ps /. float_of_int (List.length ps)
 
 let min_pqos t = List.fold_left (fun acc p -> min acc p.pqos) 1. t.rev_points
-
-let max_unassigned t = List.fold_left (fun acc p -> max acc p.unassigned) 0 t.rev_points
 
 let final t = match t.rev_points with [] -> None | p :: _ -> Some p
 
@@ -142,8 +138,3 @@ let parse_csv csv =
         List.iter (fun (line, row) -> record t (parse_row ~line row)) rows;
         Ok t
       with Parse e -> Error e)
-
-let of_csv csv =
-  match parse_csv csv with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Trace.of_csv: " ^ describe_error e)

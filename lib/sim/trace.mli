@@ -21,20 +21,11 @@ val record : t -> point -> unit
 val points : t -> point list
 (** In chronological (insertion) order. *)
 
-val of_points : point list -> t
-(** Rebuild a trace from {!points} output (chronological order), as
-    when resuming from a checkpoint. *)
-
-val length : t -> int
-
 val mean_pqos : t -> float
 (** Time-unweighted mean over samples; 0 if empty. *)
 
 val min_pqos : t -> float
 (** 1.0 if empty. *)
-
-val max_unassigned : t -> int
-(** Worst sampled count of shed clients; 0 if empty. *)
 
 val final : t -> point option
 
@@ -57,7 +48,3 @@ val parse_csv : string -> (t, parse_error) result
     printed precision: time to 0.1, pQoS/utilization to 0.001).
     Tolerates CRLF line endings and trailing newlines; never raises on
     malformed input. *)
-
-val of_csv : string -> t
-(** [parse_csv] wrapper that raises [Invalid_argument] with the
-    {!describe_error} text on malformed input. *)

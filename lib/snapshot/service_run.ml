@@ -42,18 +42,14 @@ let config t =
     reopt_moves = t.spec.reopt_moves;
   }
 
-let resume ~world t =
-  let found = Sim_run.fingerprint world in
-  if found <> t.spec.world_fingerprint then
-    Error
-      (Printf.sprintf
-         "world fingerprint mismatch (snapshot %s, regenerated %s): refusing to \
-          resume against a different world"
-         t.spec.world_fingerprint found)
-  else
-    match Engine.restore ~world (config t) t.state with
-    | engine -> Ok engine
-    | exception Invalid_argument reason -> Error reason
+let resume t =
+  let { scenario; seed; world_fingerprint; _ } = t.spec in
+  match Sim_run.check_world ~scenario ~seed ~fingerprint:world_fingerprint with
+  | Error reason -> Error ("snapshot " ^ reason)
+  | Ok (_, world) -> (
+      match Engine.restore ~world (config t) t.state with
+      | engine -> Ok (world, engine)
+      | exception Invalid_argument reason -> Error reason)
 
 let resume_session ?expect daemon_config t =
   let { scenario; seed; wal_position; response_seq; _ } = t.spec in
@@ -61,20 +57,13 @@ let resume_session ?expect daemon_config t =
   | Some want when want <> scenario ->
       Error (Printf.sprintf "snapshot is for %s, --expect says %s" scenario want)
   | _ -> (
-      match Cap_model.Validate.scenario_notation scenario with
-      | Error issue ->
-          Error ("snapshot scenario: " ^ Cap_model.Validate.describe issue)
-      | Ok parsed -> (
-          let world =
-            Cap_model.World.generate (Cap_util.Rng.create ~seed) parsed
-          in
-          match resume ~world t with
-          | Error _ as e -> e
-          | Ok engine ->
-              Ok
-                ( world,
-                  Cap_service.Daemon.resume_session daemon_config ~engine
-                    ~scenario ~seed ~wal_records:wal_position ~response_seq )))
+      match resume t with
+      | Error _ as e -> e
+      | Ok (world, engine) ->
+          Ok
+            ( world,
+              Cap_service.Daemon.resume_session daemon_config ~engine ~scenario
+                ~seed ~wal_records:wal_position ~response_seq ))
 
 (* plain data only; Marshal raises at write time if a closure sneaks in *)
 let save ?io ~path t =

@@ -31,9 +31,6 @@ type t = {
   state : Cap_service.Engine.checkpoint;
 }
 
-val kind : string
-(** Envelope payload-kind tag for service-run snapshots. *)
-
 val of_engine :
   ?wal_position:int -> ?response_seq:int ->
   scenario:string -> seed:int -> world:Cap_model.World.t ->
@@ -41,11 +38,11 @@ val of_engine :
 (** [wal_position]/[response_seq] default to 0 — WAL-less daemons
     don't care. *)
 
-val resume :
-  world:Cap_model.World.t -> t -> (Cap_service.Engine.t, string) result
-(** Rebuild the engine against [world], which must be regenerated from
-    the spec's recipe: a fingerprint mismatch (or shape mismatch) is
-    an [Error], never a silently wrong daemon. *)
+val resume : t -> (Cap_model.World.t * Cap_service.Engine.t, string) result
+(** Regenerate the world from the spec's recipe
+    ({!Sim_run.check_world}) and rebuild the engine against it: a
+    fingerprint (or shape) mismatch is an [Error], never a silently
+    wrong daemon. *)
 
 val resume_session :
   ?expect:string ->
@@ -53,9 +50,9 @@ val resume_session :
   t ->
   (Cap_model.World.t * Cap_service.Daemon.session, string) result
 (** The snapshot as a daemon session: regenerate the world from the
-    spec's recipe (refusing a scenario other than [expect]), restore
-    the engine ({!resume}), and pin identity, WAL position and response
-    numbering ({!Cap_service.Daemon.resume_session}). Returns the
+    spec's recipe and restore the engine ({!resume}), refusing a
+    scenario other than [expect], and pin identity, WAL position and
+    response numbering ({!Cap_service.Daemon.resume_session}). Returns the
     regenerated world too, for the checkpoints the session will write.
     Follow with {!Cap_service.Daemon.recover} to replay the WAL suffix. *)
 

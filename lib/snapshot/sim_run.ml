@@ -82,6 +82,22 @@ let fingerprint world =
     world.World.server_nodes;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let check_world ~scenario ~seed ~fingerprint:recorded =
+  match Cap_model.Validate.scenario_notation scenario with
+  | Error issue ->
+      Error (Printf.sprintf "scenario %s: %s" scenario (Cap_model.Validate.describe issue))
+  | Ok parsed ->
+      let rng = Cap_util.Rng.create ~seed in
+      let world = World.generate rng parsed in
+      let found = fingerprint world in
+      if found = recorded then Ok (rng, world)
+      else
+        Error
+          (Printf.sprintf
+             "world %s (seed %d): fingerprint mismatch (snapshot %s, regenerated %s; \
+              written by a different build?)"
+             scenario seed recorded found)
+
 (* The payload is marshalled without [Closures]: every field is plain
    data, and Marshal raises at write time if a closure ever sneaks into
    the checkpoint, which would break resume across processes. *)

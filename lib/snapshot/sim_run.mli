@@ -36,9 +36,6 @@ type t = {
   state : Cap_sim.Dve_sim.checkpoint;
 }
 
-val kind : string
-(** Envelope payload-kind tag for sim-run snapshots. *)
-
 val config : spec -> Cap_util.Rng.t -> Cap_model.World.t -> Cap_sim.Dve_sim.config
 (** The simulator configuration the spec describes, for the world it
     regenerates. Splits [rng] once, for the diurnal model, iff
@@ -55,6 +52,18 @@ val fingerprint : Cap_model.World.t -> string
     placement, capacities, regions, client placement and the
     inter-server delay structure. Equal for worlds generated from the
     same scenario and seed by the same binary. *)
+
+val check_world :
+  scenario:string ->
+  seed:int ->
+  fingerprint:string ->
+  (Cap_util.Rng.t * Cap_model.World.t, string) result
+(** Regenerate a snapshot's world from its recipe as the original run
+    did — create the seeded RNG, generate the world — and check it
+    against the recorded [fingerprint]. Returns the RNG as generation
+    left it, so a resumed run draws what the original drew next.
+    [Error] names an unparsable scenario or a fingerprint mismatch;
+    every resume path and [capsim validate] go through here. *)
 
 val save :
   ?io:Cap_service.Io.t -> path:string -> t -> (unit, Envelope.error) result

@@ -93,7 +93,6 @@ let build ~servers ?alive ~base_rtt ~link () =
   done;
   { servers; rtt; component_of; component_count = !next; pristine }
 
-let servers t = t.servers
 let pristine t = t.pristine
 
 let check t s name =

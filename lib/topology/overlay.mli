@@ -45,8 +45,6 @@ val build :
     Raises [Invalid_argument] if [servers <= 0], or if a [Degraded]
     penalty is non-positive or not finite. *)
 
-val servers : t -> int
-
 val pristine : t -> bool
 (** Whether the mesh is undamaged (all servers alive, all links [Up]). *)
 

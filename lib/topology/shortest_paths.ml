@@ -1,10 +1,9 @@
 module Indexed_heap = Cap_util.Indexed_heap
 
-let dijkstra_with_parents g ~src =
+let dijkstra g ~src =
   let n = Graph.node_count g in
   if src < 0 || src >= n then invalid_arg "Shortest_paths.dijkstra: source out of range";
   let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
   let heap = Indexed_heap.create n in
   dist.(src) <- 0.;
   Indexed_heap.insert heap src 0.;
@@ -18,51 +17,12 @@ let dijkstra_with_parents g ~src =
               let dv = du +. w in
               if dv < dist.(v) then begin
                 dist.(v) <- dv;
-                parent.(v) <- u;
                 Indexed_heap.insert_or_decrease heap v dv
               end)
             (Graph.neighbors g u);
         loop ()
   in
   loop ();
-  dist, parent
-
-let dijkstra g ~src = fst (dijkstra_with_parents g ~src)
-
-let dijkstra_path g ~src ~dst =
-  let dist, parent = dijkstra_with_parents g ~src in
-  if dist.(dst) = infinity then None
-  else begin
-    let rec walk acc v = if v = src then src :: acc else walk (v :: acc) parent.(v) in
-    Some (dist.(dst), walk [] dst)
-  end
-
-let all_pairs g = Array.init (Graph.node_count g) (fun src -> dijkstra g ~src)
-
-let floyd_warshall g =
-  let n = Graph.node_count g in
-  let dist = Array.init n (fun _ -> Array.make n infinity) in
-  for i = 0 to n - 1 do
-    dist.(i).(i) <- 0.
-  done;
-  Graph.iter_edges g (fun u v w ->
-      if w < dist.(u).(v) then begin
-        dist.(u).(v) <- w;
-        dist.(v).(u) <- w
-      end);
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      let dik = dist.(i).(k) in
-      if dik < infinity then
-        for j = 0 to n - 1 do
-          let through = dik +. dist.(k).(j) in
-          if through < dist.(i).(j) then dist.(i).(j) <- through
-        done
-    done
-  done;
   dist
 
-let eccentricity row =
-  Array.fold_left (fun acc d -> if d < infinity && d > acc then d else acc) 0. row
-
-let diameter matrix = Array.fold_left (fun acc row -> max acc (eccentricity row)) 0. matrix
+let all_pairs g = Array.init (Graph.node_count g) (fun src -> dijkstra g ~src)

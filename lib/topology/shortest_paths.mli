@@ -7,19 +7,5 @@
 val dijkstra : Graph.t -> src:int -> float array
 (** Single-source distances. O((V + E) log V). *)
 
-val dijkstra_path : Graph.t -> src:int -> dst:int -> (float * int list) option
-(** Shortest distance and one shortest path (as a node list from [src]
-    to [dst]), or [None] if unreachable. *)
-
 val all_pairs : Graph.t -> float array array
 (** All-pairs distances via repeated Dijkstra. *)
-
-val floyd_warshall : Graph.t -> float array array
-(** All-pairs distances in O(V^3); used to cross-check {!all_pairs} in
-    tests and acceptable for small graphs. *)
-
-val eccentricity : float array -> float
-(** Largest finite entry of a distance row; 0 if all are infinite. *)
-
-val diameter : float array array -> float
-(** Largest finite distance in the matrix. *)

@@ -1,5 +1,4 @@
 module Rng = Cap_util.Rng
-module Union_find = Cap_util.Union_find
 
 type t = {
   graph : Graph.t;
@@ -43,49 +42,4 @@ let generate_incremental rng ~n ~m ~alpha ~beta ?(x0 = 0.) ?(y0 = 0.) ~side () =
       Graph.Builder.add_edge builder i j (edge_weight points.(i) points.(j))
     done
   done;
-  { graph = Graph.Builder.finish builder; points }
-
-let connect_components builder points =
-  let n = Array.length points in
-  let uf = Union_find.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Graph.Builder.has_edge builder u v then ignore (Union_find.union uf u v)
-    done
-  done;
-  (* Repeatedly merge the two closest nodes that lie in distinct
-     components until the graph is connected. *)
-  while Union_find.count uf > 1 do
-    let best = ref None in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if not (Union_find.same uf u v) then begin
-          let d = Point.distance points.(u) points.(v) in
-          match !best with
-          | Some (_, _, d') when d' <= d -> ()
-          | _ -> best := Some (u, v, d)
-        end
-      done
-    done;
-    match !best with
-    | None -> assert false
-    | Some (u, v, _) ->
-        Graph.Builder.add_edge builder u v (edge_weight points.(u) points.(v));
-        ignore (Union_find.union uf u v)
-  done
-
-let generate_pairwise rng ~n ~alpha ~beta ?(x0 = 0.) ?(y0 = 0.) ~side () =
-  if n < 1 then invalid_arg "Waxman.generate_pairwise: n must be >= 1";
-  let max_distance = side *. sqrt 2. in
-  check_params ~alpha ~beta ~max_distance;
-  let points = place rng ~n ~x0 ~y0 ~side in
-  let builder = Graph.Builder.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let p = probability ~alpha ~beta ~max_distance (Point.distance points.(u) points.(v)) in
-      if Rng.uniform rng < p then
-        Graph.Builder.add_edge builder u v (edge_weight points.(u) points.(v))
-    done
-  done;
-  connect_components builder points;
   { graph = Graph.Builder.finish builder; points }

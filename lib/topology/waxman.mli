@@ -3,9 +3,8 @@
     The connection probability between nodes at distance [d] is
     [alpha * exp (-. d /. (beta *. l))] where [l] is the largest
     possible distance in the placement square — the model BRITE uses
-    for router-level topologies. Two construction modes are provided:
-    the BRITE-style incremental mode (always connected) and the classic
-    pairwise mode (repaired into connectivity afterwards). *)
+    for router-level topologies, grown with BRITE's incremental mode
+    (always connected). *)
 
 type t = {
   graph : Graph.t;
@@ -33,18 +32,3 @@ val generate_incremental :
     probability. The result is connected by construction. Edge weights
     are Euclidean distances. Raises [Invalid_argument] if [n < 1] or
     [m < 1]. *)
-
-val generate_pairwise :
-  Cap_util.Rng.t ->
-  n:int ->
-  alpha:float ->
-  beta:float ->
-  ?x0:float ->
-  ?y0:float ->
-  side:float ->
-  unit ->
-  t
-(** Classic Waxman: every unordered pair gets an edge independently
-    with the Waxman probability; disconnected components are then
-    joined through their closest node pairs so that the result is
-    always connected. *)

@@ -111,3 +111,13 @@ let generated ?(seed = 7) () =
       let world = World.generate (Rng.create ~seed) scenario in
       Hashtbl.replace generated_cache seed world;
       world
+
+(* Zone [z]'s clients, ascending, read off the world cache's CSR. *)
+let zone_members w z =
+  let c = World.cached w in
+  Array.sub c.World.zone_clients c.World.zone_off.(z)
+    (c.World.zone_off.(z + 1) - c.World.zone_off.(z))
+
+(* Observed RTT from client [client]'s node to [server]. *)
+let observed_rtt w ~client ~server =
+  World.node_server_rtt w ~node:w.World.client_nodes.(client) ~server

@@ -6,7 +6,9 @@
    test_oracle.ml. Below it, the Vivaldi embedding as it stood with a
    fresh direction array and closures per update: the oracle the
    allocation-free Cap_topology.Vivaldi.embed must match bit for bit
-   (test_vivaldi.ml). *)
+   (test_vivaldi.ml). Last, reference shortest paths and an exhaustive
+   GAP search, the ground truth for Dijkstra, the overlay's routed
+   delays and branch-and-bound. *)
 
 module World = Cap_model.World
 module Traffic = Cap_model.Traffic
@@ -640,3 +642,91 @@ module Vivaldi = struct
     done;
     { coordinates; errors }
 end
+
+(* Reference shortest paths: cubic all-pairs relaxation to cross-check
+   Cap_topology.Shortest_paths.all_pairs and the overlay's routed
+   delays, plus the summaries and path walk the tests read off it. *)
+module Shortest_paths = struct
+  module Graph = Cap_topology.Graph
+
+  let floyd_warshall g =
+    let n = Graph.node_count g in
+    let dist = Array.init n (fun _ -> Array.make n infinity) in
+    for i = 0 to n - 1 do
+      dist.(i).(i) <- 0.
+    done;
+    Graph.iter_edges g (fun u v w ->
+        if w < dist.(u).(v) then begin
+          dist.(u).(v) <- w;
+          dist.(v).(u) <- w
+        end);
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        let dik = dist.(i).(k) in
+        if dik < infinity then
+          for j = 0 to n - 1 do
+            let through = dik +. dist.(k).(j) in
+            if through < dist.(i).(j) then dist.(i).(j) <- through
+          done
+      done
+    done;
+    dist
+
+  (* Largest finite entry of a distance row; 0 if all are infinite. *)
+  let eccentricity row =
+    Array.fold_left (fun acc d -> if d < infinity && d > acc then d else acc) 0. row
+
+  (* Largest finite distance in the matrix. *)
+  let diameter matrix = Array.fold_left (fun acc row -> max acc (eccentricity row)) 0. matrix
+
+  (* One shortest path from [src] to [dst] that [Cap_topology]'s
+     Dijkstra distances certify: walk back from [dst] through any
+     neighbour whose distance plus the edge weight is [dst]'s own.
+     [None] if unreachable. *)
+  let dijkstra_path g ~src ~dst =
+    let dist = Cap_topology.Shortest_paths.dijkstra g ~src in
+    if dist.(dst) = infinity then None
+    else begin
+      let rec walk acc v =
+        if v = src then Some (src :: acc)
+        else
+          match
+            Array.find_opt
+              (fun (u, w) -> abs_float (dist.(u) +. w -. dist.(v)) < 1e-9 && dist.(u) < dist.(v))
+              (Graph.neighbors g v)
+          with
+          | Some (u, _) -> walk (v :: acc) u
+          | None -> None
+      in
+      Option.map (fun path -> (dist.(dst), path)) (walk [] dst)
+    end
+end
+
+(* Exhaustive search over all [servers^items] assignments of a GAP; the
+   ground truth for branch-and-bound on tiny instances. [None] if no
+   feasible assignment exists. Raises [Invalid_argument] when the
+   search space exceeds ~10^7. *)
+let gap_brute_force (t : Cap_milp.Gap.t) =
+  let module Gap = Cap_milp.Gap in
+  let items = Gap.item_count t and servers = Gap.server_count t in
+  let space = float_of_int servers ** float_of_int items in
+  if space > 1e7 then invalid_arg "Oracle.gap_brute_force: search space too large";
+  let assignment = Array.make items 0 in
+  let best = ref None in
+  let rec explore j =
+    if j = items then begin
+      if Gap.is_feasible t assignment then begin
+        let cost = Gap.objective t assignment in
+        match !best with
+        | Some (_, best_cost) when best_cost <= cost -> ()
+        | _ -> best := Some (Array.copy assignment, cost)
+      end
+    end
+    else
+      for i = 0 to servers - 1 do
+        assignment.(j) <- i;
+        explore (j + 1)
+      done
+  in
+  explore 0;
+  !best

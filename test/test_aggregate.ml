@@ -220,26 +220,6 @@ let test_deterministic_and_pool_independent () =
   let parallel = fresh 4 in
   Alcotest.(check bool) "jobs 1 vs 4 identical" true (compare serial parallel = 0)
 
-let test_fluid_sim_aggregated () =
-  let w = world `Correlated 1 in
-  let agg = identity_agg w 1 in
-  let a = Cap_core.Agg_solve.solve (Rng.create ~seed:77) ~buckets:(World.node_count w) w in
-  let exact = Cap_sim.Fluid_sim.run (Rng.create ~seed:4) w a in
-  let grouped = Cap_sim.Fluid_sim.run_aggregated (Rng.create ~seed:4) agg a in
-  (* same assignment, same rng: the queue trajectories are identical *)
-  Array.iteri
-    (fun s (r : Cap_sim.Fluid_sim.server_report) ->
-      Alcotest.(check (float 1e-9)) "queueing delay identical"
-        r.Cap_sim.Fluid_sim.mean_queueing_delay
-        grouped.Cap_sim.Fluid_sim.per_server.(s).Cap_sim.Fluid_sim.mean_queueing_delay)
-    exact.Cap_sim.Fluid_sim.per_server;
-  (* group-mean pricing is f32-rounded, so counts may flip only at the
-     bound boundary *)
-  Alcotest.(check (float 0.05)) "nominal pQoS matches"
-    exact.Cap_sim.Fluid_sim.nominal_pqos grouped.Cap_sim.Fluid_sim.nominal_pqos;
-  Alcotest.(check (float 0.05)) "effective pQoS matches"
-    exact.Cap_sim.Fluid_sim.effective_pqos grouped.Cap_sim.Fluid_sim.effective_pqos
-
 let tests =
   [
     ( "model/aggregate",
@@ -251,6 +231,5 @@ let tests =
         case "exactness vs unaggregated GreZ-GreC" test_exactness_vs_unaggregated;
         case "bucketed mode stays feasible" test_bucketed_feasible;
         case "deterministic per seed, pool independent" test_deterministic_and_pool_independent;
-        case "Fluid_sim.run_aggregated matches run" test_fluid_sim_aggregated;
       ] );
   ]

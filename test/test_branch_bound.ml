@@ -78,7 +78,7 @@ let prop_matches_brute_force =
     (fun seed ->
       let g = random_gap seed in
       let result = Bb.solve g in
-      match Gap.brute_force g, result.Bb.solution with
+      match Oracle.gap_brute_force g, result.Bb.solution with
       | None, None -> result.Bb.proven_optimal
       | Some (_, brute_cost), Some solution ->
           result.Bb.proven_optimal

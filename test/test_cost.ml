@@ -20,7 +20,7 @@ let test_initial_matrix () =
 
 let test_initial_single_zone () =
   let w = Fixtures.standard () in
-  let members = (World.clients_of_zone w).(1) in
+  let members = Fixtures.zone_members w 1 in
   Alcotest.(check int) "z1 on s0" 2 (Cost.initial w ~zone_members:members ~server:0);
   Alcotest.(check int) "z1 on s1" 0 (Cost.initial w ~zone_members:members ~server:1)
 

@@ -99,7 +99,7 @@ let test_brute_force_agrees_with_bb_on_fixture_iap () =
   (* exhaustive search over the 2-zone fixture agrees with B&B *)
   let w = Fixtures.standard () in
   let gap = Cap_milp.Optimal.iap_instance w in
-  match Gap.brute_force gap, (Cap_milp.Branch_bound.solve gap).Cap_milp.Branch_bound.solution with
+  match Oracle.gap_brute_force gap, (Cap_milp.Branch_bound.solve gap).Cap_milp.Branch_bound.solution with
   | Some (_, brute), Some solution ->
       Alcotest.(check (float 1e-9)) "same optimum" brute (Gap.objective gap solution)
   | _ -> Alcotest.fail "both solvers should succeed on the fixture"

@@ -43,7 +43,7 @@ let test_feasibility () =
   Alcotest.(check bool) "server 0 overloaded" false (Gap.is_feasible g [| 0; 0; 0 |])
 
 let test_brute_force () =
-  match Gap.brute_force (sample ()) with
+  match Oracle.gap_brute_force (sample ()) with
   | None -> Alcotest.fail "expected a solution"
   | Some (assignment, cost) ->
       Alcotest.(check bool) "feasible" true (Gap.is_feasible (sample ()) assignment);
@@ -57,15 +57,15 @@ let test_brute_force_infeasible () =
   let g =
     Gap.make ~costs:[| [| 1. |] |] ~demands:[| [| 5. |] |] ~capacities:[| 1. |]
   in
-  Alcotest.(check bool) "no solution" true (Gap.brute_force g = None)
+  Alcotest.(check bool) "no solution" true (Oracle.gap_brute_force g = None)
 
 let test_brute_force_guard () =
   let costs = Array.make 30 [| 1.; 1.; 1. |] in
   let demands = Array.make 30 [| 0.; 0.; 0. |] in
   let g = Gap.make ~costs ~demands ~capacities:[| 1.; 1.; 1. |] in
   Alcotest.check_raises "refuses huge spaces"
-    (Invalid_argument "Gap.brute_force: search space too large") (fun () ->
-      ignore (Gap.brute_force g))
+    (Invalid_argument "Oracle.gap_brute_force: search space too large") (fun () ->
+      ignore (Oracle.gap_brute_force g))
 
 let test_lp_relaxation_shape () =
   let lp = Gap.lp_relaxation (sample ()) in
@@ -88,7 +88,7 @@ let prop_lp_bounds_integer_optimum =
                  Array.init servers (fun _ -> Cap_util.Rng.float_in rng 0.5 2.)))
           ~capacities:(Array.init servers (fun _ -> Cap_util.Rng.float_in rng 2. 6.))
       in
-      match Gap.brute_force g with
+      match Oracle.gap_brute_force g with
       | None -> true
       | Some (_, integer_opt) -> (
           match Simplex.solve (Gap.lp_relaxation g) with

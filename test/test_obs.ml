@@ -164,6 +164,45 @@ let test_prometheus_output =
       check_line "prom_latency_sum 5";
       check_line "prom_latency_count 3")
 
+(* exports list instruments by (name, labels), not by which was
+   registered first *)
+let test_export_order =
+  with_obs (fun () ->
+      Metrics.Counter.incr (Metrics.Counter.create "order_zz_second");
+      Metrics.Gauge.set (Metrics.Gauge.create "order_mm" ~labels:[ ("k", "2") ]) 2.;
+      Metrics.Gauge.set (Metrics.Gauge.create "order_mm" ~labels:[ ("k", "1") ]) 1.;
+      Metrics.Counter.incr (Metrics.Counter.create "order_aa_first");
+      let ours name = String.length name > 6 && String.sub name 0 6 = "order_" in
+      let want =
+        [
+          ("order_aa_first", []);
+          ("order_mm", [ ("k", "1") ]);
+          ("order_mm", [ ("k", "2") ]);
+          ("order_zz_second", []);
+        ]
+      in
+      let pair = Alcotest.(list (pair string (list (pair string string)))) in
+      Alcotest.check pair "collect" want
+        (List.filter_map
+           (fun (s : Metrics.sample) ->
+             if ours s.Metrics.name then Some (s.Metrics.name, s.Metrics.labels) else None)
+           (Metrics.collect ()));
+      Alcotest.check pair "export_values" want
+        (List.filter (fun (key, _) -> ours (fst key)) (Metrics.export_values ())
+        |> List.map fst);
+      let text = Cap_obs.Prometheus.render () in
+      let lines =
+        List.filter ours (String.split_on_char '\n' text)
+      in
+      Alcotest.(check (list string)) "prometheus"
+        [
+          "order_aa_first 1";
+          "order_mm{k=\"1\"} 1";
+          "order_mm{k=\"2\"} 2";
+          "order_zz_second 1";
+        ]
+        lines)
+
 let test_jsonl_output =
   with_obs (fun () ->
       Span.reset ();
@@ -217,8 +256,12 @@ let test_trace_csv_round_trip () =
     ]
   in
   List.iter (Cap_sim.Trace.record trace) points;
-  let round_tripped = Cap_sim.Trace.of_csv (Cap_sim.Trace.to_csv trace) in
-  Alcotest.(check int) "length" (List.length points) (Cap_sim.Trace.length round_tripped);
+  let round_tripped =
+    match Cap_sim.Trace.parse_csv (Cap_sim.Trace.to_csv trace) with
+    | Ok t -> Cap_sim.Trace.points t
+    | Error e -> Alcotest.failf "round trip: %s" (Cap_sim.Trace.describe_error e)
+  in
+  Alcotest.(check int) "length" (List.length points) (List.length round_tripped);
   List.iter2
     (fun (a : Cap_sim.Trace.point) (b : Cap_sim.Trace.point) ->
       (* to_csv prints time to 0.1 and ratios to 3 decimals; the points
@@ -235,14 +278,16 @@ let test_trace_csv_round_trip () =
         "down servers" a.Cap_sim.Trace.down_servers b.Cap_sim.Trace.down_servers;
       Alcotest.(check int)
         "components" a.Cap_sim.Trace.components b.Cap_sim.Trace.components)
-    points
-    (Cap_sim.Trace.points round_tripped);
+    points round_tripped;
   (* malformed inputs now yield structured diagnostics *)
   (match Cap_sim.Trace.parse_csv "nope\n1,2,3,4,5\n" with
   | Ok _ -> Alcotest.fail "bad header accepted"
   | Error e ->
       Alcotest.(check int) "header line" 1 e.Cap_sim.Trace.line;
-      Alcotest.(check string) "header field" "header" e.Cap_sim.Trace.field);
+      Alcotest.(check string) "header field" "header" e.Cap_sim.Trace.field;
+      Alcotest.(check string) "diagnostic"
+        "line 1: field header = \"nope\": expected time,clients,pQoS,util,reassigns,unassigned,down,parts"
+        (Cap_sim.Trace.describe_error e));
   (match
      Cap_sim.Trace.parse_csv
        "time,clients,pQoS,util,reassigns,unassigned,down,parts\n1,2,3\n"
@@ -260,15 +305,12 @@ let test_trace_csv_round_trip () =
       Alcotest.(check int) "cell line" 3 e.Cap_sim.Trace.line;
       Alcotest.(check string) "cell field" "clients" e.Cap_sim.Trace.field;
       Alcotest.(check string) "cell value" "x" e.Cap_sim.Trace.value);
-  Alcotest.check_raises "of_csv raises with the diagnostic"
-    (Invalid_argument "Trace.of_csv: line 1: field header = \"nope\": expected time,clients,pQoS,util,reassigns,unassigned,down,parts")
-    (fun () -> ignore (Cap_sim.Trace.of_csv "nope\n1,2,3,4,5\n"));
   (* CRLF and trailing-newline tolerance *)
   (match
      Cap_sim.Trace.parse_csv
        "time,clients,pQoS,util,reassigns,unassigned,down,parts\r\n20.0,100,0.875,0.500,0,0,0,1\r\n\r\n"
    with
-  | Ok t -> Alcotest.(check int) "CRLF parsed" 1 (Cap_sim.Trace.length t)
+  | Ok t -> Alcotest.(check int) "CRLF parsed" 1 (List.length (Cap_sim.Trace.points t))
   | Error e -> Alcotest.failf "CRLF rejected: %s" (Cap_sim.Trace.describe_error e))
 
 let test_instrumented_solver =
@@ -305,6 +347,7 @@ let tests =
         case "span nesting and ordering" test_span_nesting;
         case "span recorded on exception" test_span_survives_exception;
         case "prometheus output and escaping" test_prometheus_output;
+        case "exports sort by name and labels" test_export_order;
         case "jsonl output and escaping" test_jsonl_output;
         case "console summary" test_summary_table;
         case "sim trace csv round trip" test_trace_csv_round_trip;

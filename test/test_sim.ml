@@ -44,7 +44,7 @@ let test_policy_module () =
 
 let test_trace_module () =
   let t = Trace.create () in
-  Alcotest.(check int) "empty" 0 (Trace.length t);
+  Alcotest.(check int) "empty" 0 (List.length (Trace.points t));
   Alcotest.(check (float 1e-9)) "mean empty" 0. (Trace.mean_pqos t);
   Alcotest.(check (float 1e-9)) "min empty" 1. (Trace.min_pqos t);
   Alcotest.(check bool) "final empty" true (Trace.final t = None);
@@ -62,7 +62,7 @@ let test_trace_module () =
   in
   Trace.record t (point 1. 0.8);
   Trace.record t (point 2. 0.6);
-  Alcotest.(check int) "length" 2 (Trace.length t);
+  Alcotest.(check int) "length" 2 (List.length (Trace.points t));
   Alcotest.(check (float 1e-9)) "mean" 0.7 (Trace.mean_pqos t);
   Alcotest.(check (float 1e-9)) "min" 0.6 (Trace.min_pqos t);
   (match Trace.final t with
@@ -76,7 +76,7 @@ let test_trace_module () =
 let test_samples_on_grid () =
   let outcome = run ~duration:100. () in
   (* samples at 10, 20, ..., 100 *)
-  Alcotest.(check int) "ten samples" 10 (Trace.length outcome.Sim.trace);
+  Alcotest.(check int) "ten samples" 10 (List.length (Trace.points outcome.Sim.trace));
   List.iteri
     (fun i p ->
       Alcotest.(check (float 1e-6)) "sample time" (float_of_int (i + 1) *. 10.) p.Trace.time)
@@ -215,7 +215,7 @@ let test_roaming_movement () =
       ~world:w ~algorithm:Cap_core.Two_phase.grez_grec
   in
   Alcotest.(check bool) "runs and samples" true
-    (Cap_sim.Trace.length outcome.Sim.trace > 0)
+    (Cap_sim.Trace.points outcome.Sim.trace <> [])
 
 let test_roaming_map_mismatch () =
   let w = Fixtures.generated () in

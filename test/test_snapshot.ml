@@ -318,6 +318,37 @@ let test_fingerprint_sensitivity () =
     "one-ulp capacity change changes the fingerprint" true
     (Sim_run.fingerprint w1 <> Sim_run.fingerprint w)
 
+(* every resume path and [capsim validate] regenerate a snapshot's world
+   through check_world: the recipe's world is accepted with the RNG as
+   generation left it, a recorded fingerprint it does not match and an
+   unparsable scenario are refused *)
+let test_check_world () =
+  let seed = 3 in
+  let fingerprint = Sim_run.fingerprint (make_world seed) in
+  (match Sim_run.check_world ~scenario:scenario_notation ~seed ~fingerprint with
+  | Error m -> Alcotest.failf "recipe refused: %s" m
+  | Ok (rng, world) ->
+      Alcotest.(check string) "regenerated world" fingerprint (Sim_run.fingerprint world);
+      let fresh = Rng.create ~seed in
+      ignore (World.generate fresh (Scenario.of_notation scenario_notation));
+      Alcotest.(check int) "rng continues where generation left it" (Rng.int fresh 1_000_000)
+        (Rng.int rng 1_000_000));
+  let other = Sim_run.fingerprint (make_world (seed + 1)) in
+  (match Sim_run.check_world ~scenario:scenario_notation ~seed ~fingerprint:other with
+  | Ok _ -> Alcotest.fail "a mismatched fingerprint must be refused"
+  | Error m ->
+      Alcotest.(check string) "names the mismatch"
+        (Printf.sprintf
+           "world %s (seed %d): fingerprint mismatch (snapshot %s, regenerated %s; \
+            written by a different build?)"
+           scenario_notation seed other fingerprint)
+        m);
+  match Sim_run.check_world ~scenario:"8s-32z" ~seed ~fingerprint with
+  | Ok _ -> Alcotest.fail "an unparsable scenario must be refused"
+  | Error m ->
+      Alcotest.(check bool) "names the scenario" true
+        (String.starts_with ~prefix:"scenario 8s-32z: " m)
+
 (* ------------------------------------------------------------------ *)
 (* the CLI's path: config and solver derived from the spec              *)
 
@@ -543,6 +574,7 @@ let tests =
         case "resume rejects the wrong world" test_resume_world_mismatch;
         case "save/load roundtrip" test_sim_run_roundtrip;
         case "world fingerprint sensitivity" test_fingerprint_sensitivity;
+        case "check_world regenerates and refuses a mismatch" test_check_world;
         case "spec config: sim with roam, flash and diurnal" test_spec_resume_sim;
         case "spec config: chaos with faults" test_spec_resume_chaos;
         case "spec config: aggregated sim" test_spec_resume_aggregated;

@@ -99,8 +99,8 @@ let test_world_integration () =
   let differs = ref false in
   for c = 0 to 20 do
     if
-      Cap_model.World.client_server_rtt w' ~client:c ~server:0
-      <> Cap_model.World.client_server_rtt w ~client:c ~server:0
+      Fixtures.observed_rtt w' ~client:c ~server:0
+      <> Fixtures.observed_rtt w ~client:c ~server:0
     then differs := true
   done;
   Alcotest.(check bool) "observed actually estimated" true !differs

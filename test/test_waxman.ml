@@ -54,14 +54,6 @@ let test_incremental_validation () =
     (Invalid_argument "Waxman.generate_incremental: m must be >= 1") (fun () ->
       ignore (Waxman.generate_incremental rng ~n:5 ~m:0 ~alpha:0.5 ~beta:0.5 ~side:1. ()))
 
-let test_pairwise_connected () =
-  (* Even at tiny alpha (few organic edges), component repair must
-     deliver a connected result. *)
-  let rng = Rng.create ~seed:7 in
-  let t = Waxman.generate_pairwise rng ~n:25 ~alpha:0.01 ~beta:0.05 ~side:100. () in
-  Alcotest.(check bool) "connected" true (Graph.is_connected t.Waxman.graph);
-  Alcotest.(check bool) "spanning" true (Graph.edge_count t.Waxman.graph >= 24)
-
 let test_singleton () =
   let rng = Rng.create ~seed:8 in
   let t = Waxman.generate_incremental rng ~n:1 ~m:2 ~alpha:0.5 ~beta:0.5 ~side:10. () in
@@ -74,12 +66,6 @@ let prop_incremental_connected =
     (fun (seed, m) ->
       let rng = Rng.create ~seed in
       let t = Waxman.generate_incremental rng ~n:20 ~m ~alpha:0.2 ~beta:0.2 ~side:100. () in
-      Graph.is_connected t.Waxman.graph)
-
-let prop_pairwise_connected =
-  QCheck.Test.make ~name:"pairwise always connected" ~count:30 QCheck.small_nat (fun seed ->
-      let rng = Rng.create ~seed in
-      let t = Waxman.generate_pairwise rng ~n:15 ~alpha:0.1 ~beta:0.15 ~side:100. () in
       Graph.is_connected t.Waxman.graph)
 
 let prop_determinism =
@@ -100,10 +86,8 @@ let tests =
         case "weights are distances" test_incremental_weights_are_distances;
         case "offset placement" test_incremental_offsets;
         case "validation" test_incremental_validation;
-        case "pairwise connected" test_pairwise_connected;
         case "singleton" test_singleton;
         QCheck_alcotest.to_alcotest prop_incremental_connected;
-        QCheck_alcotest.to_alcotest prop_pairwise_connected;
         QCheck_alcotest.to_alcotest prop_determinism;
       ] );
   ]

@@ -35,7 +35,7 @@ let test_populations () =
   let w = small_world () in
   let pop = World.zone_population w in
   Alcotest.(check int) "population sums to clients" 120 (Array.fold_left ( + ) 0 pop);
-  let members = World.clients_of_zone w in
+  let members = Array.init (World.zone_count w) (Fixtures.zone_members w) in
   Array.iteri
     (fun z zone_members ->
       Alcotest.(check int) "members match population" pop.(z) (Array.length zone_members);
@@ -70,7 +70,7 @@ let test_delays () =
     (World.server_server_rtt w 0 1);
   Alcotest.(check (float 1e-9)) "observed = true without error"
     (World.true_client_server_rtt w ~client:3 ~server:2)
-    (World.client_server_rtt w ~client:3 ~server:2)
+    (Fixtures.observed_rtt w ~client:3 ~server:2)
 
 let test_estimation_error () =
   let w = small_world () in
@@ -85,7 +85,7 @@ let test_estimation_error () =
   for c = 0 to World.client_count w - 1 do
     for s = 0 to World.server_count w - 1 do
       let d = World.true_client_server_rtt w ~client:c ~server:s in
-      let o = World.client_server_rtt w' ~client:c ~server:s in
+      let o = Fixtures.observed_rtt w' ~client:c ~server:s in
       if o < (d /. 2.) -. 1e-9 || o > (d *. 2.) +. 1e-9 then ok := false
     done
   done;
@@ -141,8 +141,8 @@ let test_cache_replace_clients () =
       ~client_zones:(Array.make clients 0)
   in
   Alcotest.(check int) "derived world: all clients in zone 0" clients
-    (World.population_of_zone w' 0);
-  Alcotest.(check int) "derived world: zone 1 emptied" 0 (World.population_of_zone w' 1);
+    ((World.zone_population w').(0));
+  Alcotest.(check int) "derived world: zone 1 emptied" 0 ((World.zone_population w').(1));
   Alcotest.(check (float 1e-6)) "derived world: rate uses new population"
     (Traffic.client_rate w.World.scenario.Scenario.traffic ~zone_population:clients)
     (World.client_rate w' 0);
@@ -166,7 +166,7 @@ let test_cache_health_apply () =
   let after = Bigarray.Array1.get (World.dense w').World.cs_rtt 0 in
   check_f32 "degraded server penalty lands in the cache" (before +. 50.) after;
   check_f32 "cache matches the direct lookup"
-    (World.client_server_rtt w' ~client:0 ~server:0)
+    (Fixtures.observed_rtt w' ~client:0 ~server:0)
     after;
   Alcotest.(check (float 1e-9)) "original cache unchanged" before
     (Bigarray.Array1.get (World.dense w).World.cs_rtt 0)
@@ -205,7 +205,7 @@ let check_matrices_agree w =
   for cl = 0 to World.client_count w - 1 do
     for s = 0 to m - 1 do
       check_f32 "cs_rtt vs observed_rtt"
-        (World.client_server_rtt w ~client:cl ~server:s)
+        (Fixtures.observed_rtt w ~client:cl ~server:s)
         (Bigarray.Array1.get d.World.cs_rtt ((cl * m) + s));
       check_f32 "cs_rtt_true vs true_rtt"
         (World.true_client_server_rtt w ~client:cl ~server:s)
@@ -257,7 +257,7 @@ let test_f32_agreement_derived () =
 
 let test_cache_csr_ascending () =
   let w = small_world () in
-  let members = World.clients_of_zone w in
+  let members = Array.init (World.zone_count w) (Fixtures.zone_members w) in
   Array.iter
     (fun zone_members ->
       let sorted = Array.copy zone_members in
